@@ -102,16 +102,18 @@ jobs_gate() {
 
 # Kernel gate: the SoA batched datapaths against their scalar references.
 # The ctest filter covers the bitwise property tests (pair block, batched
-# tables, mesh kernels, pair-list reuse) plus the golden matrix that
-# gates the batched stepping path end to end; the bench then re-proves
-# scalar-vs-batched identity on a bigger system and records the measured
-# speedups in BENCH_kernels.json. Run after touching src/tables/,
-# src/htis/, src/pairlist/ or the node-program/engine pair loops.
+# tables and their multiply-only segment search, mesh kernels and the
+# per-axis mesh gather, the inline quantize round, pair-list reuse) plus
+# the golden matrix that gates the batched stepping path end to end; the
+# bench then re-proves scalar-vs-batched identity on a bigger system and
+# records the measured speedups in BENCH_kernels.json. Run after touching
+# src/tables/, src/htis/, src/pairlist/, src/fixed/, src/ewald/gse.* or
+# the node-program/engine pair and mesh loops.
 kernels() {
   echo "== kernels gate: SoA batched datapaths vs scalar, bitwise =="
   cmake -B build -S .
   cmake --build build -j"$JOBS"
-  (cd build && ctest -R 'KernelsSimd|TieredTable|ErfcTableSpline|VerletList|CellGrid|GoldenTrajectory\.' \
+  (cd build && ctest -R 'KernelsSimd|TieredTable|FixedProperty|ErfcTableSpline|VerletList|CellGrid|GoldenTrajectory\.' \
     --output-on-failure -j"$JOBS")
   ./build/bench/bench_kernels BENCH_kernels.json
 }

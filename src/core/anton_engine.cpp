@@ -531,11 +531,12 @@ void AntonEngine::mesh_pass(bool with_energy) {
           if (qi == 0.0) continue;
           NodeCounters& nc = wl_shards_[lane][geom_->node_index_of(
               geom_->coords_of(assigned_subbox_[i]))];
-          parallel::spread_atom(np_, qi, pos_phys_[i], mesh_scratch_[lane],
-                                [&](std::size_t idx, std::int64_t dq) {
-                                  ++nc.spread_ops;
-                                  msh[idx] = fixed::wrap_add(msh[idx], dq);
-                                });
+          parallel::spread_atom(
+              np_, qi, pos_phys_[i], mesh_scratch_[lane],
+              [&](std::size_t idx, std::int64_t dq) {
+                msh[idx] = fixed::wrap_add(msh[idx], dq);
+              },
+              &nc.spread_ops);
         }
       });
   // Mesh-slab reduction: each lane reduces a disjoint slab of mesh points

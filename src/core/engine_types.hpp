@@ -133,8 +133,13 @@ enum class LongRangeMethod { kGse, kSpme };
 /// Simulation parameters common to both engines.
 struct SimParams {
   double cutoff = 13.0;  // range-limited cutoff (A)
-  ewald::GseParams gse;  // if gse.mesh == 0, derived from the cutoff
-  int mesh = 32;         // used when gse is derived
+  // GSE parameters, used as given: GseParams defaults to mesh 32, beta
+  // 0.35, sigma_s 1, rs 5 whatever the cutoff. Only a caller that sets
+  // gse.mesh = 0 gets them derived from the cutoff and `mesh` below;
+  // otherwise `mesh` is ignored (a config setting only mesh = 16 still
+  // runs mesh 32).
+  ewald::GseParams gse;
+  int mesh = 32;  // read only when gse.mesh == 0
   double dt = 2.5;       // fs
   int long_range_every = 2;
   LongRangeMethod long_range = LongRangeMethod::kGse;
@@ -151,7 +156,8 @@ struct SimParams {
   double ref_skin = 1.0;       // A; 0 disables list reuse (rebin per call)
   bool ref_erfc_table = true;  // spline erfc in the direct-space sum
 
-  /// Resolves gse from cutoff/mesh when not explicitly set.
+  /// Resolves gse from cutoff/mesh when gse.mesh == 0; returns gse
+  /// unchanged otherwise (including for the default-constructed gse).
   ewald::GseParams resolved_gse() const {
     if (gse.mesh != 0) return gse;
     return ewald::GseParams::for_cutoff(cutoff, mesh);

@@ -50,19 +50,27 @@ struct GseParams {
 };
 
 /// Structure-of-arrays batch of mesh points within rs of one atom
-/// (indices, displacement components, squared distances in lanes).
+/// (indices, displacement components, squared distances in lanes). The
+/// first size() entries of each lane are live. The lanes are reused
+/// across atoms and grown only when an atom has more hits than they
+/// hold, to that count plus one window row: their length tracks the hit
+/// count, not the window volume.
 struct MeshPointBatch {
   std::vector<std::size_t> idx;
   std::vector<double> dx, dy, dz, r2;
+  std::size_t n = 0;
 
-  std::size_t size() const { return idx.size(); }
-  void clear() {
-    idx.clear();
-    dx.clear();
-    dy.clear();
-    dz.clear();
-    r2.clear();
-  }
+  std::size_t size() const { return n; }
+
+  // Gather scratch: per axis, the displacement r_a - r_mesh and the
+  // wrapped mesh index of every window coordinate; per (y, z) window row
+  // with hits, the x range [x0, x1) of its hits.
+  std::vector<double> axis_d[3];
+  std::vector<int> axis_w[3];
+  struct Row {
+    int ky, kz, x0, x1;
+  };
+  std::vector<Row> rows;
 };
 
 class Gse {
@@ -138,16 +146,8 @@ class Gse {
   /// same order with the same doubles. Gathering first lets callers run
   /// the Gaussian table over all ~(2 rs/h)^3 points of an atom in one
   /// vectorized eval_fixed_n sweep instead of a branchy per-point call.
-  void gather_mesh_points(const Vec3d& r, MeshPointBatch& out) const {
-    out.clear();
-    for_each_mesh_point(r, [&out](std::size_t idx, const Vec3d& d, double r2) {
-      out.idx.push_back(idx);
-      out.dx.push_back(d.x);
-      out.dy.push_back(d.y);
-      out.dz.push_back(d.z);
-      out.r2.push_back(r2);
-    });
-  }
+  /// for_each_mesh_point stays the reference this is tested against.
+  void gather_mesh_points(const Vec3d& r, MeshPointBatch& out) const;
 
  private:
   PeriodicBox box_;

@@ -50,13 +50,6 @@ inline constexpr std::int32_t wrap_sub32(std::int32_t a, std::int32_t b) {
                                    static_cast<std::uint32_t>(b));
 }
 
-/// Quantizes a real value onto the integer grid x -> round(x * scale),
-/// rounding to nearest with ties to even (IEEE default mode). The result
-/// is odd-symmetric: quantize(-x, s) == -quantize(x, s).
-inline std::int64_t quantize(double x, double scale) {
-  return std::llrint(x * scale);
-}
-
 /// Arithmetic right shift by k with round-to-nearest/even; the fixed-point
 /// equivalent of dividing by 2^k. k == 0 returns v unchanged.
 inline constexpr std::int64_t rshift_rne(std::int64_t v, int k) {
@@ -79,6 +72,25 @@ inline constexpr std::int64_t rshift_rne(std::int64_t v, int k) {
 inline double rne_round(double x) {
   constexpr double kMagic = 6755399441055744.0;  // 2^52 + 2^51
   return (x + kMagic) - kMagic;
+}
+
+/// Quantizes a real value onto the integer grid x -> round(x * scale),
+/// rounding to nearest with ties to even (IEEE default mode). The result
+/// is odd-symmetric: quantize(-x, s) == -quantize(x, s).
+///
+/// Bitwise std::llrint(x * scale) for every input. llrint is a libm call
+/// at -O2 (it may set errno, so it is not inlined), and this is the
+/// innermost operation of every mesh, pair and integration kernel; the
+/// common case |x * scale| < 2^51 therefore runs as the inline
+/// magic-number round above, exact on that domain. Larger magnitudes,
+/// infinities and NaN take the llrint call and its out-of-range result.
+/// The product is rounded once before the round-to-integer: the build is
+/// ISO C++ without -march, so no FMA contraction fuses the two.
+inline std::int64_t quantize(double x, double scale) {
+  const double y = x * scale;
+  if (std::fabs(y) < 2251799813685248.0)  // 2^51
+    return static_cast<std::int64_t>(rne_round(y));
+  return std::llrint(y);
 }
 
 /// Wraps a value into the range of a B-bit signed integer (the natural

@@ -10,8 +10,8 @@ constexpr double kTwo32 = 4294967296.0;  // 2^32
 // Quantize one coordinate and wrap it into int32 (two's-complement wrap is
 // well-defined via the uint64 intermediate).
 inline std::int32_t to_lat1(double r, double inv_lsb) {
-  const long long v = std::llrint(r * inv_lsb);
-  return static_cast<std::int32_t>(static_cast<std::uint64_t>(v));
+  return static_cast<std::int32_t>(
+      static_cast<std::uint64_t>(quantize(r, inv_lsb)));
 }
 }  // namespace
 
@@ -37,12 +37,9 @@ double PositionLattice::dist2(const Vec3i& a, const Vec3i& b) const {
 }
 
 Vec3i PositionLattice::advance(const Vec3i& p, const Vec3d& dr) const {
-  const std::int32_t dx =
-      static_cast<std::int32_t>(static_cast<std::uint64_t>(std::llrint(dr.x * inv_lsb_.x)));
-  const std::int32_t dy =
-      static_cast<std::int32_t>(static_cast<std::uint64_t>(std::llrint(dr.y * inv_lsb_.y)));
-  const std::int32_t dz =
-      static_cast<std::int32_t>(static_cast<std::uint64_t>(std::llrint(dr.z * inv_lsb_.z)));
+  const std::int32_t dx = to_lat1(dr.x, inv_lsb_.x);
+  const std::int32_t dy = to_lat1(dr.y, inv_lsb_.y);
+  const std::int32_t dz = to_lat1(dr.z, inv_lsb_.z);
   return {wrap_add32(p.x, dx), wrap_add32(p.y, dy), wrap_add32(p.z, dz)};
 }
 

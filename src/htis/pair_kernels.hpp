@@ -15,6 +15,7 @@
 // PPIP's "user-specified parameter values".
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "ff/topology.hpp"
@@ -87,6 +88,16 @@ class PairKernels {
 
   /// Worst-case fit error across the force tables (diagnostics).
   double worst_force_table_error() const;
+
+  /// Every table this evaluator built, by name (read-only; for
+  /// diagnostics and the table property tests).
+  std::vector<std::pair<const char*, const tables::TieredTable*>> tables()
+      const {
+    return {{"f_elec", &f_elec_}, {"e_elec", &e_elec_},
+            {"f_lj12", &f_lj12_}, {"e_lj12", &e_lj12_},
+            {"f_lj6", &f_lj6_},   {"e_lj6", &e_lj6_},
+            {"g_spread", &g_spread_}};
+  }
 
   /// LJ A/B combined parameters for a type pair.
   double lj_a(int ti, int tj) const { return a_[idx(ti, tj)]; }

@@ -213,14 +213,16 @@ struct MeshScratch {
 /// wrap-adds it into whatever storage it owns (lane shard or node slab).
 /// The mesh points are gathered in for_each_mesh_point order and the
 /// Gaussian runs as one batched table sweep; each emitted dq is bitwise
-/// what the per-point scalar path produced.
+/// what the per-point scalar path produced. `ops`, if non-null, is
+/// incremented once per (atom, mesh point) interaction.
 template <typename Sink>
 void spread_atom(const NodeProgram& np, double qi, const Vec3d& r,
-                 MeshScratch& ms, Sink&& sink) {
+                 MeshScratch& ms, Sink&& sink, std::int64_t* ops = nullptr) {
   np.gse->gather_mesh_points(r, ms.pts);
   const std::size_t n = ms.pts.size();
   ms.g.resize(n);
   np.kernels->eval_spread_n(n, ms.pts.r2.data(), ms.g.data());
+  if (ops) *ops += static_cast<std::int64_t>(n);
   for (std::size_t i = 0; i < n; ++i)
     sink(ms.pts.idx[i], fixed::quantize(qi * ms.g[i], kMeshChargeScale));
 }
@@ -277,23 +279,20 @@ IntegrationCoefs make_integration_coefs(const Topology& top, double dt,
                                         const fixed::PositionLattice& lat);
 
 inline void kick_atom(Vec3l& v, const Vec3l& f, double c) {
-  v.x = fixed::wrap_add(v.x, std::llrint(static_cast<double>(f.x) * c));
-  v.y = fixed::wrap_add(v.y, std::llrint(static_cast<double>(f.y) * c));
-  v.z = fixed::wrap_add(v.z, std::llrint(static_cast<double>(f.z) * c));
+  v.x = fixed::wrap_add(v.x, fixed::quantize(static_cast<double>(f.x), c));
+  v.y = fixed::wrap_add(v.y, fixed::quantize(static_cast<double>(f.y), c));
+  v.z = fixed::wrap_add(v.z, fixed::quantize(static_cast<double>(f.z), c));
 }
 
 inline Vec3i drift_atom(const Vec3i& p, const Vec3l& v, const Vec3d& dc) {
-  const std::int32_t dx = static_cast<std::int32_t>(
-      static_cast<std::uint64_t>(
-          std::llrint(static_cast<double>(v.x) * dc.x)));
-  const std::int32_t dy = static_cast<std::int32_t>(
-      static_cast<std::uint64_t>(
-          std::llrint(static_cast<double>(v.y) * dc.y)));
-  const std::int32_t dz = static_cast<std::int32_t>(
-      static_cast<std::uint64_t>(
-          std::llrint(static_cast<double>(v.z) * dc.z)));
-  return {fixed::wrap_add32(p.x, dx), fixed::wrap_add32(p.y, dy),
-          fixed::wrap_add32(p.z, dz)};
+  // The lattice step wraps to int32 like the position lattice itself.
+  const auto step = [](std::int64_t vi, double c) {
+    return static_cast<std::int32_t>(static_cast<std::uint64_t>(
+        fixed::quantize(static_cast<double>(vi), c)));
+  };
+  return {fixed::wrap_add32(p.x, step(v.x, dc.x)),
+          fixed::wrap_add32(p.y, step(v.y, dc.y)),
+          fixed::wrap_add32(p.z, step(v.z, dc.z))};
 }
 
 // ---------------------------------------------------------------------------
@@ -374,9 +373,9 @@ double thermostat_lambda(const Topology& top, double mv2_sum, double dt_long,
                          double target_temperature, double tau);
 
 inline void scale_velocity(Vec3l& v, double lambda) {
-  v.x = std::llrint(static_cast<double>(v.x) * lambda);
-  v.y = std::llrint(static_cast<double>(v.y) * lambda);
-  v.z = std::llrint(static_cast<double>(v.z) * lambda);
+  v.x = fixed::quantize(static_cast<double>(v.x), lambda);
+  v.y = fixed::quantize(static_cast<double>(v.y), lambda);
+  v.z = fixed::quantize(static_cast<double>(v.z), lambda);
 }
 
 // ---------------------------------------------------------------------------

@@ -801,15 +801,17 @@ void WorkerRuntime::spread_and_halo() {
       const double qi = tp.charge[a];
       if (qi == 0.0) continue;
       const Vec3d r = lat().to_phys(nd.atoms.at(a).pos);
-      spread_atom(np_, qi, r, nd.mscr, [&](std::size_t idx, std::int64_t dq) {
-        ++nc.spread_ops;
-        const auto i32 = static_cast<std::int32_t>(idx);
-        if (!nd.stouched[idx]) {
-          nd.stouched[idx] = 1;
-          nd.touched.push_back(i32);
-        }
-        nd.spread_q[idx] = fixed::wrap_add(nd.spread_q[idx], dq);
-      });
+      spread_atom(
+          np_, qi, r, nd.mscr,
+          [&](std::size_t idx, std::int64_t dq) {
+            const auto i32 = static_cast<std::int32_t>(idx);
+            if (!nd.stouched[idx]) {
+              nd.stouched[idx] = 1;
+              nd.touched.push_back(i32);
+            }
+            nd.spread_q[idx] = fixed::wrap_add(nd.spread_q[idx], dq);
+          },
+          &nc.spread_ops);
     }
   }
 

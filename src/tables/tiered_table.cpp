@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <type_traits>
 
 #include "fixed/fixed.hpp"
 #include "tables/remez.hpp"
@@ -153,6 +154,7 @@ double TieredTable::eval(double u) const {
 void TieredTable::build_batch_lanes(int mantissa_bits) {
   tier_lo_.clear();
   tier_w_.clear();
+  tier_inv_w_.clear();
   tier_base_.clear();
   tier_entries_.clear();
   seg_scale_.clear();
@@ -164,6 +166,7 @@ void TieredTable::build_batch_lanes(int mantissa_bits) {
         (i + 1 < layout_.tiers.size()) ? layout_.tiers[i + 1].lo : 1.0;
     tier_lo_.push_back(lo);
     tier_w_.push_back((hi - lo) / layout_.tiers[i].entries);
+    tier_inv_w_.push_back(1.0 / tier_w_.back());
     tier_base_.push_back(base);
     tier_entries_.push_back(layout_.tiers[i].entries);
     base += layout_.tiers[i].entries;
@@ -180,6 +183,17 @@ void TieredTable::build_batch_lanes(int mantissa_bits) {
   //    |e| <= 960 and |acc| < 2^27 both the scale and the product are far
   //    from the subnormal/overflow ranges.
   fast_batch_ = mantissa_bits <= 26;
+  // The segment search divides by each tier width w. When every w is a
+  // power of two whose reciprocal is a normal double, x / w and
+  // x * (1/w) are the correctly rounded values of the same real number
+  // x * 2^-e, so they are bitwise equal for every x and the batch
+  // multiplies instead. Any other width keeps the division.
+  multiply_search_ = true;
+  for (const double w : tier_w_) {
+    int e = 0;
+    if (std::frexp(w, &e) != 0.5 || e < -1000 || e > 1000)
+      multiply_search_ = false;
+  }
   seg_scale_.reserve(segs_.size());
   for (const Segment& s : segs_) {
     if (s.exponent < -960 || s.exponent > 960) fast_batch_ = false;
@@ -193,8 +207,8 @@ double TieredTable::eval_fixed(double u) const {
   const Segment& s = segs_[k];
   // t as a 24-bit fraction; Horner with RNE rounding after each multiply,
   // mirroring the PPIP datapath of Figure 4a.
-  const std::int64_t tf = std::min<std::int64_t>(
-      static_cast<std::int64_t>(std::llrint(t * 16777216.0)), 16777215);
+  const std::int64_t tf =
+      std::min<std::int64_t>(fixed::quantize(t, 16777216.0), 16777215);
   std::int64_t acc = s.c[3];
   for (int i = 2; i >= 0; --i)
     acc = fixed::rshift_rne(acc * tf, 24) + s.c[i];
@@ -226,13 +240,12 @@ void TieredTable::eval_fixed_n(const double* u, double* out,
   double tf[kChunk];
   std::int32_t seg[kChunk];
 
-  for (std::size_t i0 = 0; i0 < n; i0 += kChunk) {
-    const std::size_t m = std::min(kChunk, n - i0);
-    // Segment search as flat arithmetic: the tiers partition [0,1) in
-    // ascending order, so the tier index is the count of tier lower
-    // bounds <= u; the in-tier math then mirrors find_segment exactly
-    // (the divisions must stay divisions -- a reciprocal multiply would
-    // round differently and break bitwise identity with the scalar path).
+  // Segment search as flat arithmetic: the tiers partition [0,1) in
+  // ascending order, so the tier index is the count of tier lower bounds
+  // <= u; the in-tier math then mirrors find_segment exactly. The two
+  // divisions by w become multiplies by 1/w only where that is bitwise
+  // the same (multiply_search_, see build_batch_lanes).
+  const auto search = [&](std::size_t i0, std::size_t m, auto multiply) {
     for (std::size_t i = 0; i < m; ++i) {
       double uu = std::max(u[i0 + i], u_min_);
       if (uu < 0.0) uu = 0.0;
@@ -241,9 +254,15 @@ void TieredTable::eval_fixed_n(const double* u, double* out,
       for (int j = 1; j < ntiers; ++j) ti += uu >= tier_lo_[j] ? 1 : 0;
       const double lo = tier_lo_[ti];
       const double w = tier_w_[ti];
-      int k = static_cast<int>((uu - lo) / w);
+      const auto over_w = [&](double x) {
+        if constexpr (decltype(multiply)::value)
+          return x * tier_inv_w_[ti];
+        else
+          return x / w;
+      };
+      int k = static_cast<int>(over_w(uu - lo));
       if (k >= tier_entries_[ti]) k = tier_entries_[ti] - 1;
-      double t = (uu - (lo + k * w)) / w;
+      double t = over_w(uu - (lo + k * w));
       if (t < 0.0) t = 0.0;
       if (t >= 1.0) t = one_below;
       seg[i] = tier_base_[ti] + k;
@@ -251,6 +270,14 @@ void TieredTable::eval_fixed_n(const double* u, double* out,
       if (f > 16777215.0) f = 16777215.0;
       tf[i] = f;
     }
+  };
+
+  for (std::size_t i0 = 0; i0 < n; i0 += kChunk) {
+    const std::size_t m = std::min(kChunk, n - i0);
+    if (multiply_search_)
+      search(i0, m, std::true_type{});
+    else
+      search(i0, m, std::false_type{});
     // RNE Horner + block-exponent scale, gathered per segment.
     for (std::size_t i = 0; i < m; ++i) {
       const Segment& s = segs_[seg[i]];

@@ -85,6 +85,11 @@ class TieredTable {
   /// whose parameters fall outside that proof fall back to scalar calls.
   void eval_fixed_n(const double* u, double* out, std::size_t n) const;
 
+  /// True when eval_fixed_n's segment search multiplies by the
+  /// reciprocal tier width instead of dividing: only when every tier
+  /// width is a power of two, where the two are bitwise equal.
+  bool multiply_search() const { return multiply_search_; }
+
   /// Largest |f - table| observed during the fit scan.
   double max_fit_error() const { return worst_fit_error_; }
 
@@ -101,10 +106,11 @@ class TieredTable {
 
   // Flattened lanes for eval_fixed_n: per-tier constants of the segment
   // search and the per-segment scale 2^exponent, precomputed at build.
-  std::vector<double> tier_lo_, tier_w_;
+  std::vector<double> tier_lo_, tier_w_, tier_inv_w_;
   std::vector<std::int32_t> tier_base_, tier_entries_;
   std::vector<double> seg_scale_;
   bool fast_batch_ = false;
+  bool multiply_search_ = false;
 };
 
 }  // namespace anton::tables

@@ -8,10 +8,16 @@
 //  * The 32-bit position lattice wraps exactly at the box boundary: a
 //    full box length of accumulated displacement is a no-op, and
 //    minimum-image deltas agree across the wrap seam.
+//  * quantize, the one round-to-integer every kernel goes through, is
+//    bitwise std::llrint(x * scale) on every input: ties, the 2^51 edge
+//    of its inline path, signed zero, subnormals, infinities and NaN.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <random>
 #include <vector>
@@ -154,6 +160,108 @@ TEST(FixedProperty, LatticeRoundTripsPhysicalPoints) {
     // And quantizing again is idempotent: the lattice point is a fixed
     // point of the round trip.
     EXPECT_EQ(lat.to_lattice(back), p);
+  }
+}
+
+// The reference is the libm call quantize replaces. Inputs pass through
+// a volatile so neither side is constant-folded at compile time.
+void expect_quantize_matches_llrint(double x, double scale) {
+  volatile double vx = x;
+  const double xr = vx;
+  EXPECT_EQ(fx::quantize(xr, scale), std::llrint(xr * scale))
+      << "x=" << xr << " bits=" << std::hex
+      << std::bit_cast<std::uint64_t>(xr) << " scale=" << scale;
+}
+
+constexpr double kTwo51 = 2251799813685248.0;  // 2^51
+
+TEST(FixedProperty, QuantizeTiesRoundToEven) {
+  for (std::int64_t k = -1000; k <= 1000; ++k) {
+    expect_quantize_matches_llrint(static_cast<double>(k) + 0.5, 1.0);
+    expect_quantize_matches_llrint(static_cast<double>(k) - 0.5, 1.0);
+  }
+  // Ties at every magnitude up to the top of the inline path, where
+  // k + 0.5 is still representable, on both sides of zero.
+  for (int e = 1; e <= 51; ++e) {
+    const double k = std::ldexp(1.0, e);
+    for (const double x : {k - 0.5, k + 0.5, k - 1.5, k + 1.5}) {
+      if (std::fabs(x) >= 2 * kTwo51) continue;
+      expect_quantize_matches_llrint(x, 1.0);
+      expect_quantize_matches_llrint(-x, 1.0);
+    }
+  }
+  EXPECT_EQ(fx::quantize(0.5, 1.0), 0);
+  EXPECT_EQ(fx::quantize(1.5, 1.0), 2);
+  EXPECT_EQ(fx::quantize(2.5, 1.0), 2);
+  EXPECT_EQ(fx::quantize(-2.5, 1.0), -2);
+  // Ties produced by the scale multiply rather than the input.
+  expect_quantize_matches_llrint(0.5, 4294967296.0 /* 2^32 */);
+  expect_quantize_matches_llrint(3.0 / 8.0, 4.0);
+  expect_quantize_matches_llrint(-3.0 / 8.0, 4.0);
+}
+
+TEST(FixedProperty, QuantizeAroundTwo51) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double edge : {kTwo51, 2 * kTwo51, 4 * kTwo51,
+                            9.2233720368547758e18 /* 2^63 */}) {
+    double x = edge;
+    for (int i = 0; i < 8; ++i) x = std::nextafter(x, 0.0);
+    for (int i = 0; i < 16; ++i) {  // just below, at and above the edge
+      expect_quantize_matches_llrint(x, 1.0);
+      expect_quantize_matches_llrint(-x, 1.0);
+      x = std::nextafter(x, inf);
+    }
+  }
+  // Products that cross 2^51 only after scaling.
+  expect_quantize_matches_llrint(std::nextafter(kTwo51 / 4096.0, 0.0),
+                                 4096.0);
+  expect_quantize_matches_llrint(kTwo51 / 4096.0, 4096.0);
+  expect_quantize_matches_llrint(std::nextafter(kTwo51 / 4096.0, inf),
+                                 4096.0);
+  expect_quantize_matches_llrint(-kTwo51 / 4096.0, 4096.0);
+}
+
+TEST(FixedProperty, QuantizeSignedZeroSubnormalsAndNonFinite) {
+  const double dmin = std::numeric_limits<double>::denorm_min();
+  const double nmin = std::numeric_limits<double>::min();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double scale : {1.0, 1099511627776.0 /* 2^40 */, 0.75}) {
+    for (const double x : {0.0, -0.0, dmin, -dmin, 3 * dmin, nmin, -nmin,
+                           std::nextafter(nmin, 0.0), inf, -inf, nan, -nan,
+                           std::numeric_limits<double>::max(),
+                           std::numeric_limits<double>::lowest()})
+      expect_quantize_matches_llrint(x, scale);
+  }
+  EXPECT_EQ(fx::quantize(-0.0, 1.0), 0);
+}
+
+TEST(FixedProperty, QuantizeRandomDoublesAllExponents) {
+  anton::Xoshiro256 rng(0x51);
+  // The scales the engine quantizes with: force/energy 2^32, velocity and
+  // mesh charge 2^40, unit, and non-power-of-two kick/thermostat-like
+  // coefficients whose product rounds before the round-to-integer.
+  const double scales[] = {1.0, 4294967296.0, 1099511627776.0,
+                           0.9999871, 3.7e-9, 1.0 / 3.0};
+  for (int i = 0; i < 1000000; ++i) {
+    const double scale = scales[i % 6];
+    double x;
+    if (i % 2 == 0) {
+      // Uniform over all bit patterns: every exponent, both signs,
+      // subnormals, infinities and NaNs.
+      x = std::bit_cast<double>(rng());
+    } else {
+      // Magnitudes concentrated where the inline path and the fallback
+      // meet: mantissa * 2^e with e in [-64, 64).
+      const double m = static_cast<double>(rng() >> 11) / 9007199254740992.0;
+      x = std::ldexp(m, static_cast<int>(rng() % 128) - 64);
+      if (rng() & 1) x = -x;
+    }
+    volatile double vx = x;
+    const double xr = vx;
+    ASSERT_EQ(fx::quantize(xr, scale), std::llrint(xr * scale))
+        << "x bits=" << std::hex << std::bit_cast<std::uint64_t>(xr)
+        << " scale=" << scale;
   }
 }
 

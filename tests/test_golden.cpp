@@ -218,3 +218,18 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, VmTransportGoldenTrajectory,
                          wire_param_name);
 
 }  // namespace
+
+// golden_config() sets sim.mesh = 16 and a 7 A cutoff, but resolved_gse()
+// derives parameters only when gse.mesh == 0, and GseParams defaults to
+// mesh 32. Every fixture was therefore recorded at the GseParams
+// defaults. Pinned here so that making sim.mesh take effect -- which
+// changes every trajectory -- is a deliberate fixture regeneration, not
+// a silent side effect.
+TEST(GoldenConfig, ResolvedGseIsPinned) {
+  const anton::ewald::GseParams g =
+      anton::golden::golden_config({1, 1, 1}, 1).sim.resolved_gse();
+  EXPECT_EQ(g.mesh, 32);
+  EXPECT_EQ(g.beta, 0.35);
+  EXPECT_EQ(g.sigma_s, 1.0);
+  EXPECT_EQ(g.rs, 5.0);
+}

@@ -4,6 +4,8 @@
 // recorded through the scalar ones).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -239,6 +241,121 @@ TEST(KernelsSimd, InterpolateBatchMatchesScalar) {
     EXPECT_EQ(got.y, ref.y) << "atom " << i;
     EXPECT_EQ(got.z, ref.z) << "atom " << i;
     EXPECT_EQ(ops, static_cast<std::int64_t>(ms.pts.size()));
+  }
+}
+
+namespace {
+
+/// The per-point visit for_each_mesh_point makes: the reference the
+/// per-axis gather must reproduce.
+struct MeshVisit {
+  std::size_t idx;
+  std::uint64_t dx, dy, dz, r2;  // bit patterns
+  bool operator==(const MeshVisit&) const = default;
+};
+
+std::uint64_t dbits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Largest allocation among a batch's lanes, in entries.
+std::size_t allocated(const anton::ewald::MeshPointBatch& b) {
+  return std::max({b.idx.capacity(), b.dx.capacity(), b.dy.capacity(),
+                   b.dz.capacity(), b.r2.capacity()});
+}
+
+/// Gathers `r` into `batch` and checks it point for point against the
+/// for_each_mesh_point oracle: count, order, indices and bit-identical
+/// displacements and r^2. Returns the hit count.
+std::size_t expect_gather_matches_oracle(const anton::ewald::Gse& gse,
+                                         const Vec3d& r,
+                                         anton::ewald::MeshPointBatch& batch) {
+  std::vector<MeshVisit> ref;
+  gse.for_each_mesh_point(r, [&](std::size_t idx, const Vec3d& d, double r2) {
+    ref.push_back({idx, dbits(d.x), dbits(d.y), dbits(d.z), dbits(r2)});
+  });
+  gse.gather_mesh_points(r, batch);
+  std::vector<MeshVisit> got;
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    got.push_back({batch.idx[i], dbits(batch.dx[i]), dbits(batch.dy[i]),
+                   dbits(batch.dz[i]), dbits(batch.r2[i])});
+  EXPECT_EQ(got.size(), ref.size())
+      << "r=(" << r.x << "," << r.y << "," << r.z << ")";
+  EXPECT_TRUE(got == ref) << "r=(" << r.x << "," << r.y << "," << r.z << ")";
+  return ref.size();
+}
+
+}  // namespace
+
+// Property: the per-axis gather (row skip + per-row hit interval) is the
+// oracle's visit exactly, for atoms anywhere -- including on mesh points,
+// on box faces, far outside the primary cell, and with a spreading
+// radius wider than half the box so wrapped indices repeat in a window --
+// and its lanes are sized by hits, never by the window volume.
+TEST(KernelsSimd, GatherMeshPointsMatchesOracle) {
+  struct Case {
+    const char* name;
+    double side;
+    anton::ewald::GseParams p;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"golden-like", 14.0, anton::ewald::GseParams{}});
+  cases.push_back(
+      {"for-cutoff", 24.0, anton::ewald::GseParams::for_cutoff(9.0, 16)});
+  // h = 1.25 and rs = 4 h: atoms on mesh points have points at exactly
+  // r2 == rs^2 (kept) and rows at exactly dy^2 + dz^2 == rs^2 (not
+  // skipped).
+  anton::ewald::GseParams ties;
+  ties.mesh = 16;
+  cases.push_back({"cutoff-ties", 20.0, ties});
+  anton::ewald::GseParams wide;
+  wide.beta = 0.2;
+  wide.sigma_s = 1.0;
+  wide.rs = 6.0;  // > L/2: the window wraps past a whole mesh period
+  wide.mesh = 8;
+  cases.push_back({"window-wider-than-mesh", 10.0, wide});
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const anton::PeriodicBox box(c.side);
+    const anton::ewald::Gse gse(box, c.p);
+    const double L = c.side, half = 0.5 * L, h = gse.mesh_spacing();
+    std::vector<Vec3d> rs;
+    anton::Xoshiro256 rng(17);
+    for (int i = 0; i < 40; ++i)
+      rs.push_back({rng.uniform(-half, half), rng.uniform(-half, half),
+                    rng.uniform(-half, half)});
+    // Box faces and their neighbours.
+    for (const double f : {-half, std::nextafter(-half, 0.0),
+                           std::nextafter(half, 0.0), half}) {
+      rs.push_back({f, 0.3, -0.7});
+      rs.push_back({0.1, f, f});
+      rs.push_back({f, f, f});
+    }
+    // Exactly on mesh points (the m * h - half grid of the oracle).
+    for (const int m : {0, 1, c.p.mesh / 2, c.p.mesh - 1}) {
+      const double g = m * h - half;
+      rs.push_back({g, g, g});
+      rs.push_back({g, 0.25 * h, -g});
+    }
+    // Negative and out-of-cell coordinates (unwrapped inputs).
+    rs.push_back({-0.9 * L, -1.3 * L, -0.1});
+    rs.push_back({-2.5 * L, 1.7 * L, -L});
+    rs.push_back({-1e-12, -h, -3.5 * h});
+
+    // A reused batch keeps its largest allocation: at most the most hits
+    // plus the longest row seen so far.
+    anton::ewald::MeshPointBatch reused;
+    std::size_t max_hits = 0, max_row = 0;
+    for (const Vec3d& r : rs) {
+      anton::ewald::MeshPointBatch fresh;
+      const std::size_t hits = expect_gather_matches_oracle(gse, r, fresh);
+      const std::size_t row = fresh.axis_d[0].size();
+      EXPECT_GT(hits, 0u);
+      EXPECT_LE(allocated(fresh), hits + row);
+      expect_gather_matches_oracle(gse, r, reused);
+      max_hits = std::max(max_hits, hits);
+      max_row = std::max(max_row, row);
+      EXPECT_LE(allocated(reused), max_hits + max_row);
+    }
   }
 }
 

@@ -5,8 +5,12 @@
 #include <bit>
 #include <cmath>
 #include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "ff/topology.hpp"
+#include "htis/pair_kernels.hpp"
 #include "tables/remez.hpp"
 #include "tables/tiered_table.hpp"
 #include "util/rng.hpp"
@@ -236,4 +240,76 @@ TEST(TieredTable, BatchedMatchesScalarBitwise) {
       ASSERT_EQ(bits(t.eval_fixed(u[i])), bits(batched[i]))
           << c.name << " u=" << u[i];
   }
+}
+
+// Property: the batched segment search multiplies by 1/w instead of
+// dividing by the tier width w only when every w is a power of two, and
+// there the two are bitwise the same. Checked against the scalar
+// (dividing) path for every table PairKernels builds -- the erfc and
+// spreading tables on the power-of-two default layout, the LJ tables on
+// the non-power-of-two vdW layout -- at segment edges and random inputs.
+TEST(TieredTable, MultiplySearchMatchesDivisionBitwise) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_TRUE(TieredTable::build([](double u) { return 1.0 + u; },
+                                 TieredLayout::anton_default())
+                  .multiply_search());
+  EXPECT_TRUE(TieredTable::build([](double u) { return 1.0 + u; },
+                                 TieredLayout::uniform(64))
+                  .multiply_search());
+  // w = 1/100 is not a power of two: the search must keep the division.
+  const TieredTable div100 = TieredTable::build(
+      [](double u) { return std::exp(-u); }, TieredLayout::uniform(100));
+  EXPECT_FALSE(div100.multiply_search());
+
+  std::vector<anton::htis::PairKernelParams> params(2);
+  params[0].cutoff = 13.0;  // the engine's default GSE parameters
+  params[0].beta = 0.35;
+  params[0].sigma_s = 1.0;
+  params[0].rs = 5.0;
+  params[1].cutoff = 9.0;
+  params[1].beta = 0.3444;
+  params[1].sigma_s = 1.2;
+  params[1].rs = 4.3;
+  const std::vector<anton::LJType> types{
+      {3.15, 0.152}, {1.0, 0.0}, {3.4, 0.086}};
+
+  std::vector<std::pair<std::string, const TieredTable*>> all;
+  std::vector<anton::htis::PairKernels> kernels;
+  kernels.reserve(params.size());
+  for (const auto& p : params) kernels.emplace_back(p, types);
+  for (std::size_t i = 0; i < kernels.size(); ++i)
+    for (const auto& [name, t] : kernels[i].tables())
+      all.emplace_back(std::string(name) + "#" + std::to_string(i), t);
+  all.emplace_back("uniform100", &div100);
+
+  int multiplying = 0;
+  for (const auto& [name, t] : all) {
+    multiplying += t->multiply_search() ? 1 : 0;
+    std::vector<double> u{-1.0, -0.0, 0.0, 4.9e-324, 2.2250738585072014e-308,
+                          std::nextafter(1.0, 0.0), 1.0, 2.0};
+    // Every segment boundary and its neighbours: where k and t round.
+    const int nseg = t->layout().total_entries();
+    for (int k = 0; k < nseg; ++k) {
+      double lo, hi;
+      t->layout().segment_bounds(k, lo, hi);
+      for (const double x : {lo, hi, 0.5 * (lo + hi)}) {
+        u.push_back(x);
+        u.push_back(std::nextafter(x, -1.0));
+        u.push_back(std::nextafter(x, 2.0));
+      }
+    }
+    anton::Xoshiro256 rng(2024);
+    for (int i = 0; i < 100000; ++i) u.push_back(rng.uniform(0.0, 1.0));
+    // Log-uniform small inputs probe the densest tier down to u_min.
+    for (int i = 0; i < 1000; ++i)
+      u.push_back(std::ldexp(rng.uniform(0.5, 1.0),
+                             -static_cast<int>(rng() % 40)));
+    std::vector<double> batched(u.size());
+    t->eval_fixed_n(u.data(), batched.data(), u.size());
+    for (std::size_t i = 0; i < u.size(); ++i)
+      ASSERT_EQ(bits(t->eval_fixed(u[i])), bits(batched[i]))
+          << name << " u=" << u[i];
+  }
+  // Per PairKernels: f_elec, e_elec and g_spread use the default layout.
+  EXPECT_EQ(multiplying, 3 * static_cast<int>(kernels.size()));
 }
