@@ -3,6 +3,7 @@
 // import volumes (Figure 3).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -205,18 +206,24 @@ TEST(NtGeometry, AtomPairCoverageMonteCarlo) {
 // Table 3: match efficiency.
 // ---------------------------------------------------------------------------
 
+// gtest prints this parameter as its raw bytes and gtest_discover_tests
+// puts that dump into the ctest name, so the struct must have no padding:
+// with an `int subdiv` the four padding bytes after it held leftover stack
+// contents and four of the test names changed from run to run.
 struct EffCase {
   double box_side;
-  int subdiv;
+  std::int64_t subdiv;
   double paper_value;  // Table 3 (13 A cutoff)
 };
+static_assert(sizeof(EffCase) == 2 * sizeof(double) + sizeof(std::int64_t),
+              "EffCase must have no padding bytes");
 
 class MatchEfficiency : public ::testing::TestWithParam<EffCase> {};
 
 TEST_P(MatchEfficiency, AnalyticTracksTable3) {
   const EffCase c = GetParam();
   const double eff = nt::match_efficiency_analytic(
-      {c.box_side, c.subdiv, 13.0});
+      {c.box_side, static_cast<int>(c.subdiv), 13.0});
   // Table 3's idealized values; our continuous-region estimate should land
   // within ~35% relative (exact region bookkeeping differs slightly).
   EXPECT_NEAR(eff, c.paper_value, 0.35 * c.paper_value)
