@@ -5,8 +5,11 @@
 // Every section first PROVES bitwise identity -- the batched path must
 // reproduce the scalar path's forces, mesh sums and counters exactly, the
 // same invariant the golden-trajectory fixtures gate -- and only then
-// times both. A mismatch exits nonzero, so this binary doubles as the
-// scalar-vs-SIMD check in scripts/check.sh --kernels.
+// times both. The mesh and table sections do so for every instruction-
+// set clone of the lane kernels the host can run (tables/simd.hpp), and
+// time each; "batched" is the clone the dispatcher picked. A mismatch
+// exits nonzero, so this binary doubles as the scalar-vs-SIMD check in
+// scripts/check.sh --kernels.
 //
 // Writes a machine-readable summary (BENCH_kernels.json by default, path
 // overridable via argv[1]); EXPERIMENTS.md documents how to read it.
@@ -28,6 +31,7 @@
 #include "pairlist/exclusion_table.hpp"
 #include "parallel/node_program.hpp"
 #include "sysgen/systems.hpp"
+#include "tables/simd.hpp"
 #include "tables/tiered_table.hpp"
 #include "util/rng.hpp"
 
@@ -35,8 +39,10 @@ using anton::System;
 using anton::Vec3d;
 using anton::Vec3i;
 using anton::Vec3l;
+using anton::tables::simd::Isa;
 namespace fixedp = anton::fixed;
 namespace par = anton::parallel;
+namespace simd = anton::tables::simd;
 
 namespace {
 
@@ -46,13 +52,21 @@ double now_seconds() {
       .count();
 }
 
+/// One instruction-set clone's run of a batched section.
+struct IsaResult {
+  Isa isa = Isa::kX86_64;
+  double ns = 0.0;  // per op
+  bool bitwise = false;
+};
+
 struct SectionResult {
   std::string name;
   std::int64_t ops = 0;        // per sweep
   double scalar_ns = 0.0;      // per op
-  double batched_ns = 0.0;     // per op
+  double batched_ns = 0.0;     // per op, the dispatched clone
   double speedup = 0.0;
-  bool bitwise = false;
+  bool bitwise = false;        // every clone run
+  std::vector<IsaResult> by_isa;  // clones the host can run
 };
 
 /// The benchmark harness state: one solvated system binned into
@@ -220,6 +234,9 @@ PairSweep pair_sweep_block(const Harness& h, par::PairBlockScratch& scr) {
 
 // --- mesh sections ----------------------------------------------------------
 
+template <class Fn>
+double time_sweeps(int reps, Fn&& fn);
+
 std::vector<std::int64_t> spread_scalar(const Harness& h) {
   std::vector<std::int64_t> mesh(h.gse->mesh_total(), 0);
   for (std::size_t i = 0; i < h.sys.positions.size(); ++i) {
@@ -236,14 +253,16 @@ std::vector<std::int64_t> spread_scalar(const Harness& h) {
   return mesh;
 }
 
-std::vector<std::int64_t> spread_batched(const Harness& h,
+std::vector<std::int64_t> spread_batched(const Harness& h, Isa isa,
                                          par::MeshScratch& ms) {
   std::vector<std::int64_t> mesh(h.gse->mesh_total(), 0);
   for (std::size_t i = 0; i < h.sys.positions.size(); ++i) {
-    par::spread_atom(h.np, h.sys.top.charge[i], h.sys.positions[i], ms,
-                     [&](std::size_t idx, std::int64_t dq) {
-                       mesh[idx] = fixedp::wrap_add(mesh[idx], dq);
-                     });
+    par::detail::spread_atom(
+        isa, h.np, h.sys.top.charge[i], h.sys.positions[i], ms,
+        [&](std::size_t idx, std::int64_t dq) {
+          mesh[idx] = fixedp::wrap_add(mesh[idx], dq);
+        },
+        nullptr);
   }
   return mesh;
 }
@@ -275,16 +294,37 @@ std::vector<Vec3l> interp_scalar(const Harness& h,
   return f;
 }
 
-std::vector<Vec3l> interp_batched(const Harness& h,
+std::vector<Vec3l> interp_batched(const Harness& h, Isa isa,
                                   const std::vector<std::int64_t>& phi_q,
                                   par::MeshScratch& ms) {
   std::vector<Vec3l> f(h.sys.positions.size(), Vec3l{0, 0, 0});
   for (std::size_t i = 0; i < h.sys.positions.size(); ++i) {
-    f[i] = par::interpolate_atom(
-        h.np, h.sys.top.charge[i], h.sys.positions[i], ms,
-        [&](std::size_t idx) { return phi_q[idx]; });
+    f[i] = par::detail::interpolate_atom(
+        isa, h.np, h.sys.top.charge[i], h.sys.positions[i], ms,
+        [&](std::size_t idx) { return phi_q[idx]; }, nullptr);
   }
   return f;
+}
+
+/// Checks and times `batched(isa)` on every clone the host can run
+/// against the scalar reference `ref`; the dispatched clone's time is
+/// the section's batched time.
+template <class Ref, class Batched>
+void run_clones(SectionResult& s, int reps, const Ref& ref,
+                Batched&& batched) {
+  s.bitwise = true;
+  for (const Isa isa : simd::kAllIsas) {
+    if (!simd::host_supports(isa)) continue;
+    IsaResult r;
+    r.isa = isa;
+    r.bitwise = batched(isa) == ref;
+    r.ns = time_sweeps(reps, [&] { batched(isa); }) * 1e9 /
+           static_cast<double>(s.ops);
+    s.bitwise = s.bitwise && r.bitwise;
+    if (isa == simd::active_isa()) s.batched_ns = r.ns;
+    s.by_isa.push_back(r);
+  }
+  s.speedup = s.scalar_ns / s.batched_ns;
 }
 
 // --- harness plumbing -------------------------------------------------------
@@ -308,11 +348,32 @@ bool forces_equal(const std::vector<Vec3l>& a, const std::vector<Vec3l>& b) {
   return true;
 }
 
+/// Vec3l has no operator==; run_clones compares force lists with this.
+struct Forces {
+  std::vector<Vec3l> f;
+  bool operator==(const Forces& o) const { return forces_equal(f, o.f); }
+};
+
 void print_section(const SectionResult& s) {
   std::printf("%-8s %10lld ops   scalar %8.2f ns/op   batched %8.2f ns/op"
               "   speedup %5.2fx   bitwise %s\n",
               s.name.c_str(), static_cast<long long>(s.ops), s.scalar_ns,
               s.batched_ns, s.speedup, s.bitwise ? "OK" : "MISMATCH");
+  for (const IsaResult& r : s.by_isa)
+    std::printf("    %-6s clone %8.2f ns/op   bitwise %s%s\n",
+                simd::isa_name(r.isa), r.ns, r.bitwise ? "OK" : "MISMATCH",
+                r.isa == simd::active_isa() ? "   (dispatched)" : "");
+}
+
+/// The host's AVX-512F flag, recorded beside the clones (there is no
+/// AVX-512 clone).
+bool host_avx512f() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx512f");
+#else
+  return false;
+#endif
 }
 
 void write_json(const std::string& path, int natoms, double scale,
@@ -321,8 +382,13 @@ void write_json(const std::string& path, int natoms, double scale,
   bench::StreamStateGuard guard(out);
   out.setf(std::ios::fixed);
   out.precision(3);
+  const auto flag = [](bool b) { return b ? "true" : "false"; };
   out << "{\n  \"bench\": \"kernels\",\n  \"system\": \"peptide_solvated\","
       << "\n  \"natoms\": " << natoms << ",\n  \"scale\": " << scale
+      << ",\n  \"isa\": {\"dispatched\": \""
+      << simd::isa_name(simd::active_isa())
+      << "\", \"host_avx2\": " << flag(simd::host_supports(Isa::kAvx2))
+      << ", \"host_avx512f\": " << flag(host_avx512f()) << "}"
       << ",\n  \"sections\": [\n";
   for (std::size_t i = 0; i < sections.size(); ++i) {
     const SectionResult& s = sections[i];
@@ -330,8 +396,16 @@ void write_json(const std::string& path, int natoms, double scale,
         << ", \"scalar_ns_per_op\": " << s.scalar_ns
         << ", \"batched_ns_per_op\": " << s.batched_ns
         << ", \"speedup\": " << s.speedup << ", \"bitwise\": "
-        << (s.bitwise ? "true" : "false") << "}"
-        << (i + 1 < sections.size() ? "," : "") << "\n";
+        << flag(s.bitwise);
+    if (!s.by_isa.empty()) {
+      out << ", \"by_isa\": {";
+      for (std::size_t j = 0; j < s.by_isa.size(); ++j)
+        out << (j ? ", " : "") << "\"" << simd::isa_name(s.by_isa[j].isa)
+            << "\": {\"batched_ns_per_op\": " << s.by_isa[j].ns
+            << ", \"bitwise\": " << flag(s.by_isa[j].bitwise) << "}";
+      out << "}";
+    }
+    out << "}" << (i + 1 < sections.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
   std::ofstream f(path);
@@ -350,8 +424,12 @@ int main(int argc, char** argv) {
   Harness h(anton::sysgen::build_test_system(400, 21.0, 1234, true, 40),
             7.0, 32);
   const int natoms = static_cast<int>(h.sys.positions.size());
-  std::printf("system: %d atoms, %zu bins, %zu bin pairs, cutoff 7 A\n\n",
+  std::printf("system: %d atoms, %zu bins, %zu bin pairs, cutoff 7 A\n",
               natoms, h.bins.size(), h.bin_pairs.size());
+  std::printf("host: avx2 %s, avx512f %s; dispatched clone: %s\n\n",
+              simd::host_supports(Isa::kAvx2) ? "yes" : "no",
+              host_avx512f() ? "yes" : "no",
+              simd::isa_name(simd::active_isa()));
 
   std::vector<SectionResult> sections;
   bool all_ok = true;
@@ -383,7 +461,6 @@ int main(int argc, char** argv) {
   {
     par::MeshScratch ms;
     const std::vector<std::int64_t> ref = spread_scalar(h);
-    const std::vector<std::int64_t> got = spread_batched(h, ms);
     phi_q = ref;  // reuse the spread mesh as a deterministic potential
     std::int64_t ops = 0;
     for (std::size_t i = 0; i < h.sys.positions.size(); ++i)
@@ -394,30 +471,25 @@ int main(int argc, char** argv) {
     SectionResult s;
     s.name = "spread";
     s.ops = ops;
-    s.bitwise = ref == got;
-    const double ts = time_sweeps(reps, [&] { spread_scalar(h); });
-    const double tb = time_sweeps(reps, [&] { spread_batched(h, ms); });
-    s.scalar_ns = ts * 1e9 / static_cast<double>(s.ops);
-    s.batched_ns = tb * 1e9 / static_cast<double>(s.ops);
-    s.speedup = ts / tb;
+    s.scalar_ns = time_sweeps(reps, [&] { spread_scalar(h); }) * 1e9 /
+                  static_cast<double>(s.ops);
+    run_clones(s, reps, ref,
+               [&](Isa isa) { return spread_batched(h, isa, ms); });
     print_section(s);
     all_ok = all_ok && s.bitwise;
     sections.push_back(std::move(s));
   }
   {
     par::MeshScratch ms;
-    const std::vector<Vec3l> ref = interp_scalar(h, phi_q);
-    const std::vector<Vec3l> got = interp_batched(h, phi_q, ms);
+    const Forces ref{interp_scalar(h, phi_q)};
     SectionResult s;
     s.name = "interp";
     s.ops = sections.back().ops;  // same (atom, mesh point) visit count
-    s.bitwise = forces_equal(ref, got);
-    const double ts = time_sweeps(reps, [&] { interp_scalar(h, phi_q); });
-    const double tb =
-        time_sweeps(reps, [&] { interp_batched(h, phi_q, ms); });
-    s.scalar_ns = ts * 1e9 / static_cast<double>(s.ops);
-    s.batched_ns = tb * 1e9 / static_cast<double>(s.ops);
-    s.speedup = ts / tb;
+    s.scalar_ns = time_sweeps(reps, [&] { interp_scalar(h, phi_q); }) *
+                  1e9 / static_cast<double>(s.ops);
+    run_clones(s, reps, ref, [&](Isa isa) {
+      return Forces{interp_batched(h, isa, phi_q, ms)};
+    });
     print_section(s);
     all_ok = all_ok && s.bitwise;
     sections.push_back(std::move(s));
@@ -433,19 +505,19 @@ int main(int argc, char** argv) {
     anton::Xoshiro256 rng(7);
     for (auto& v : u) v = rng.uniform(0.0, 1.0);
     for (std::size_t i = 0; i < n; ++i) ref[i] = table.eval_fixed(u[i]);
-    table.eval_fixed_n(u.data(), got.data(), n);
     SectionResult s;
     s.name = "table";
     s.ops = static_cast<std::int64_t>(n);
-    s.bitwise = ref == got;
-    const double ts = time_sweeps(reps, [&] {
-      for (std::size_t i = 0; i < n; ++i) got[i] = table.eval_fixed(u[i]);
+    s.scalar_ns = time_sweeps(reps, [&] {
+                    for (std::size_t i = 0; i < n; ++i)
+                      got[i] = table.eval_fixed(u[i]);
+                  }) *
+                  1e9 / static_cast<double>(n);
+    run_clones(s, reps, ref, [&](Isa isa) {
+      anton::tables::detail::eval_fixed_n(isa, table, u.data(), got.data(),
+                                          n);
+      return got;
     });
-    const double tb = time_sweeps(
-        reps, [&] { table.eval_fixed_n(u.data(), got.data(), n); });
-    s.scalar_ns = ts * 1e9 / static_cast<double>(n);
-    s.batched_ns = tb * 1e9 / static_cast<double>(n);
-    s.speedup = ts / tb;
     print_section(s);
     all_ok = all_ok && s.bitwise;
     sections.push_back(std::move(s));

@@ -22,7 +22,8 @@
 #   --kernels      build + the SoA/SIMD kernel surface: the batched-vs-
 #                  scalar bitwise property tests, the pair-list reuse
 #                  suite, and the bench_kernels smoke run (which itself
-#                  asserts bitwise identity and writes BENCH_kernels.json)
+#                  asserts bitwise identity and writes BENCH_kernels.json),
+#                  then the kernel suites again under ASan + UBSan
 #   --jobs         build + the multi-tenant job runtime surface (scheduler
 #                  units, TaskGroup sharing, tenant-isolation/recovery
 #                  integration tests, and the jobs/hour + fairness bench,
@@ -102,13 +103,18 @@ jobs_gate() {
 
 # Kernel gate: the SoA batched datapaths against their scalar references.
 # The ctest filter covers the bitwise property tests (pair block, batched
-# tables and their multiply-only segment search, mesh kernels and the
-# per-axis mesh gather, the inline quantize round, pair-list reuse) plus
-# the golden matrix that gates the batched stepping path end to end; the
-# bench then re-proves scalar-vs-batched identity on a bigger system and
-# records the measured speedups in BENCH_kernels.json. Run after touching
-# src/tables/, src/htis/, src/pairlist/, src/fixed/, src/ewald/gse.* or
-# the node-program/engine pair and mesh loops.
+# tables and their multiply-only segment search, the row-fused mesh
+# kernels, each on every instruction-set clone the host runs, the inline
+# quantize round, pair-list reuse) plus the golden matrix that gates the
+# batched stepping path end to end; the bench then re-proves
+# scalar-vs-batched identity on a bigger system and records the measured
+# speedups in BENCH_kernels.json. Last, a separate
+# build-asan/ tree under AddressSanitizer + UndefinedBehaviorSanitizer
+# (float-cast-overflow included: an out-of-range double -> int conversion
+# in a segment search aborts the run) reruns the kernel, table, quantize
+# and Gse suites plus one engine-golden and one VM-golden case. Run after
+# touching src/tables/, src/htis/, src/pairlist/, src/fixed/,
+# src/ewald/gse.* or the node-program/engine pair and mesh loops.
 kernels() {
   echo "== kernels gate: SoA batched datapaths vs scalar, bitwise =="
   cmake -B build -S .
@@ -116,6 +122,12 @@ kernels() {
   (cd build && ctest -R 'KernelsSimd|TieredTable|FixedProperty|ErfcTableSpline|VerletList|CellGrid|GoldenTrajectory\.' \
     --output-on-failure -j"$JOBS")
   ./build/bench/bench_kernels BENCH_kernels.json
+
+  echo "== kernels gate: ASan + UBSan =="
+  cmake -B build-asan -S . -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined,float-cast-overflow -fno-sanitize-recover=all -D_GLIBCXX_ASSERTIONS -fno-omit-frame-pointer -g"
+  cmake --build build-asan -j"$JOBS" --target anton_tests
+  (cd build-asan && ctest -R 'KernelsSimd|TieredTable|FixedProperty|^Gse\.|^AllCases/GoldenTrajectory\.MatchesFixture/peptide_solvated_grid111_t1 |^AllCases/VmGoldenTrajectory\.MatchesFixture/peptide_solvated_grid222 ' \
+    --output-on-failure -j"$JOBS")
 }
 
 # SPMD gate: everything that proves the workers own the physics and the

@@ -49,28 +49,28 @@ struct GseParams {
   static GseParams for_cutoff(double rc, int mesh);
 };
 
-/// Structure-of-arrays batch of mesh points within rs of one atom
-/// (indices, displacement components, squared distances in lanes). The
-/// first size() entries of each lane are live. The lanes are reused
-/// across atoms and grown only when an atom has more hits than they
-/// hold, to that count plus one window row: their length tracks the hit
-/// count, not the window volume.
-struct MeshPointBatch {
-  std::vector<std::size_t> idx;
-  std::vector<double> dx, dy, dz, r2;
-  std::size_t n = 0;
+/// Per-axis geometry of one atom's mesh window: for every window
+/// coordinate m along an axis, the displacement r_a - (m h - L/2) and the
+/// wrapped mesh index m mod M. Reused across atoms (one per engine lane
+/// or worker); sized by the window edge, ~2 rs / h + 2 entries per axis.
+/// The x displacements carry kPad trailing zeros past the window, so
+/// vector kernels may read whole four-point vectors past a row's end.
+struct MeshWindow {
+  static constexpr int kPad = 3;
+  std::vector<double> d[3];
+  std::vector<int> w[3];
+};
 
-  std::size_t size() const { return n; }
-
-  // Gather scratch: per axis, the displacement r_a - r_mesh and the
-  // wrapped mesh index of every window coordinate; per (y, z) window row
-  // with hits, the x range [x0, x1) of its hits.
-  std::vector<double> axis_d[3];
-  std::vector<int> axis_w[3];
-  struct Row {
-    int ky, kz, x0, x1;
-  };
-  std::vector<Row> rows;
+/// One (y, z) row of the window with hits: n consecutive window x
+/// coordinates, all within rs of the atom. Point k of the row is mesh
+/// index base + wx[k] with displacement (dx[k], dy, dz), and its r^2 in
+/// for_each_mesh_point's association is (dx[k]*dx[k] + dy*dy) + dz*dz.
+struct MeshRow {
+  std::size_t base = 0;  // mesh index of x = 0 on this row
+  double dy = 0.0, dz = 0.0;
+  const double* dx = nullptr;
+  const int* wx = nullptr;
+  int n = 0;
 };
 
 class Gse {
@@ -142,12 +142,57 @@ class Gse {
     }
   }
 
-  /// SoA batch of the mesh points for_each_mesh_point would visit, in the
-  /// same order with the same doubles. Gathering first lets callers run
-  /// the Gaussian table over all ~(2 rs/h)^3 points of an atom in one
-  /// vectorized eval_fixed_n sweep instead of a branchy per-point call.
+  /// The mesh points for_each_mesh_point visits, as rows: f(MeshRow)
+  /// for every (y, z) row of the window with hits, in the visitor's
+  /// order, so expanding the rows reproduces the visit point for point
+  /// with the same doubles. Two facts make the row search exact:
+  ///  * a row is skipped when dy*dy + dz*dz > rs2, because the visitor's
+  ///    r2 = (dx*dx + dy*dy) + dz*dz, rounding is monotone and
+  ///    dx*dx >= 0, so every point of the row fails the cutoff too;
+  ///  * within a row the hits are one interval: dx = rx - (m h - L/2)
+  ///    falls monotonically with m (each rounding step is monotone), so
+  ///    dx*dx and with it r2 first fall, then rise, and the points with
+  ///    !(r2 > rs2) are contiguous. Scanning in from both ends finds them.
   /// for_each_mesh_point stays the reference this is tested against.
-  void gather_mesh_points(const Vec3d& r, MeshPointBatch& out) const;
+  template <typename F>
+  void for_each_mesh_row(const Vec3d& r, MeshWindow& win, F&& f) const {
+    mesh_window(r, win);
+    const int M = p_.mesh;
+    const double rs2 = p_.rs * p_.rs;
+    const int nx = static_cast<int>(win.w[0].size());
+    const double* xd = win.d[0].data();
+    for (std::size_t kz = 0; kz < win.d[2].size(); ++kz) {
+      const double dz = win.d[2][kz];
+      const double dz2 = dz * dz;
+      for (std::size_t ky = 0; ky < win.d[1].size(); ++ky) {
+        const double dy = win.d[1][ky];
+        const double dy2 = dy * dy;
+        if (dy2 + dz2 > rs2) continue;
+        const auto miss = [&](int kx) {
+          return xd[kx] * xd[kx] + dy2 + dz2 > rs2;
+        };
+        int x0 = 0;
+        while (x0 < nx && miss(x0)) ++x0;
+        if (x0 == nx) continue;
+        int x1 = nx;
+        while (miss(x1 - 1)) --x1;  // stops at x0 at the latest
+        MeshRow row;
+        row.base = (static_cast<std::size_t>(win.w[2][kz]) * M +
+                    static_cast<std::size_t>(win.w[1][ky])) *
+                   static_cast<std::size_t>(M);
+        row.dy = dy;
+        row.dz = dz;
+        row.dx = xd + x0;
+        row.wx = win.w[0].data() + x0;
+        row.n = x1 - x0;
+        f(row);
+      }
+    }
+  }
+
+  /// Fills `win` for an atom at r: the index window and every per-axis
+  /// double formed exactly as in for_each_mesh_point (plus the x pad).
+  void mesh_window(const Vec3d& r, MeshWindow& win) const;
 
  private:
   PeriodicBox box_;

@@ -15,11 +15,19 @@
 // PPIP's "user-specified parameter values".
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "ff/topology.hpp"
+#include "geom/vec3.hpp"
+#include "tables/simd.hpp"
 #include "tables/tiered_table.hpp"
+
+namespace anton::ewald {
+struct MeshRow;
+}  // namespace anton::ewald
 
 namespace anton::htis {
 
@@ -52,6 +60,56 @@ struct PairForceEnergy {
   double energy_lj = 0.0;
 };
 
+/// Four wrap-add accumulator lanes per force component. Wrapping adds
+/// commute, so a sum split over lanes and folded at the end equals the
+/// sum taken point by point, bit for bit.
+struct ForceLanes {
+  std::uint64_t x[4] = {0, 0, 0, 0};
+  std::uint64_t y[4] = {0, 0, 0, 0};
+  std::uint64_t z[4] = {0, 0, 0, 0};
+
+  Vec3l fold() const {
+    const auto sum = [](const std::uint64_t* v) {
+      return static_cast<std::int64_t>(v[0] + v[1] + v[2] + v[3]);
+    };
+    return {sum(x), sum(y), sum(z)};
+  }
+};
+
+class PairKernels;
+
+namespace detail {
+
+// The GSE atom-mesh kernels over a batch of mesh rows (ewald::MeshRow,
+// possibly a run of a longer row: only dx, dy, dz and n are read; point
+// k's r^2 is (dx[k]*dx[k] + dy*dy) + dz*dz). Each row occupies
+// round4(n) slots of the batch's point arrays (n rounded up to a multiple
+// of four), rows in order: row r's point k is slot off_r + k with off_r
+// the sum of round4(n) over the rows before it. A batch holds at most
+// kBatchSlots slots. The kernels work in whole four-slot vectors: each
+// row's dx must be readable up to round4(n), phi's dead slots must be
+// finite, and dq's dead slots are clobbered. Compiled once per
+// instruction-set clone; `isa` selects it and must be supported by the
+// host (tables::simd::host_supports). Callers normally pass
+// tables::simd::active_isa().
+
+inline constexpr int kBatchSlots = 64;
+
+constexpr int round4(int n) { return (n + 3) & ~3; }
+
+/// dq[slot] = fixed::quantize(qi * eval_spread(r2), scale) per point.
+void spread_rows(tables::simd::Isa isa, const PairKernels& k,
+                 const ewald::MeshRow* rows, int nrows, double qi,
+                 double scale, std::int64_t* dq);
+
+/// Per point, with c = (pref * phi[slot]) * eval_interp(r2), wrap-adds
+/// fixed::quantize(c * dx, scale) (and likewise for dy, dz) into acc.
+void interp_rows(tables::simd::Isa isa, const PairKernels& k,
+                 const ewald::MeshRow* rows, int nrows, const double* phi,
+                 double pref, double scale, ForceLanes& acc);
+
+}  // namespace detail
+
 class PairKernels {
  public:
   PairKernels() = default;
@@ -76,15 +134,9 @@ class PairKernels {
   /// Charge-spreading kernel: Gaussian density value at r2 (<= rs^2).
   double eval_spread(double r2) const;
 
-  /// Batched spreading kernel: g[i] == eval_spread(r2[i]) bitwise.
-  void eval_spread_n(std::size_t n, const double* r2, double* g) const;
-
   /// Force-interpolation kernel: the same Gaussian; the caller multiplies
   /// by q_i phi_m h^3 / sigma_s^2 and the displacement vector.
   double eval_interp(double r2) const;
-
-  /// Batched interpolation kernel: g[i] == eval_interp(r2[i]) bitwise.
-  void eval_interp_n(std::size_t n, const double* r2, double* g) const;
 
   /// Worst-case fit error across the force tables (diagnostics).
   double worst_force_table_error() const;
@@ -104,6 +156,13 @@ class PairKernels {
   double lj_b(int ti, int tj) const { return b_[idx(ti, tj)]; }
 
  private:
+  friend void detail::spread_rows(tables::simd::Isa, const PairKernels&,
+                                  const ewald::MeshRow*, int, double, double,
+                                  std::int64_t*);
+  friend void detail::interp_rows(tables::simd::Isa, const PairKernels&,
+                                  const ewald::MeshRow*, int, const double*,
+                                  double, double, ForceLanes&);
+
   std::size_t idx(int ti, int tj) const {
     return static_cast<std::size_t>(ti) * ntypes_ + tj;
   }

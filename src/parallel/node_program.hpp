@@ -15,6 +15,7 @@
 // fixtures.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <span>
@@ -29,6 +30,7 @@
 #include "geom/vec3.hpp"
 #include "htis/pair_kernels.hpp"
 #include "pairlist/exclusion_table.hpp"
+#include "tables/simd.hpp"
 
 namespace anton::parallel {
 
@@ -201,65 +203,128 @@ QuantizedTerm quantize_term(const NodeProgram& np, const bonded::TermForces& t,
 // GSE mesh phases (HTIS atom-mesh interactions).
 // ---------------------------------------------------------------------------
 
-/// Reusable mesh-batch buffers (one per engine lane / per worker): the
-/// gathered mesh points of one atom and the batched Gaussian values.
+/// Reusable mesh scratch (one per engine lane / per worker): the per-axis
+/// geometry of the current atom's mesh window.
 struct MeshScratch {
-  ewald::MeshPointBatch pts;
-  std::vector<double> g;
+  ewald::MeshWindow window;
 };
+
+namespace detail {
+
+/// Rows of an atom's mesh window, collected into batches for the row
+/// kernels (htis::detail::spread_rows / interp_rows).
+struct MeshRowBatch {
+  static constexpr int kSlots = htis::detail::kBatchSlots;
+  ewald::MeshRow rows[kSlots / 4];
+  int nrows = 0, slots = 0;
+
+  /// Walks the rows of `r`, in runs of at most kSlots points, calling
+  /// flush() whenever the next run would not fit, and once at the end.
+  template <typename Flush>
+  void walk(const NodeProgram& np, const Vec3d& r, MeshScratch& ms,
+            std::int64_t* ops, Flush&& flush) {
+    np.gse->for_each_mesh_row(r, ms.window, [&](const ewald::MeshRow& row) {
+      if (ops) *ops += row.n;
+      for (int k0 = 0; k0 < row.n; k0 += kSlots) {
+        const int n = std::min(kSlots, row.n - k0);
+        if (slots + htis::detail::round4(n) > kSlots) {
+          flush();
+          nrows = slots = 0;
+        }
+        ewald::MeshRow& run = rows[nrows++];
+        run = row;
+        run.dx += k0;
+        run.wx += k0;
+        run.n = n;
+        slots += htis::detail::round4(n);
+      }
+    });
+    if (nrows) flush();
+    nrows = slots = 0;
+  }
+};
+
+/// spread_atom on one instruction-set clone of the row kernels (`isa`
+/// must be supported by the host).
+template <typename Sink>
+void spread_atom(tables::simd::Isa isa, const NodeProgram& np, double qi,
+                 const Vec3d& r, MeshScratch& ms, Sink&& sink,
+                 std::int64_t* ops) {
+  MeshRowBatch b;
+  std::int64_t dq[MeshRowBatch::kSlots];
+  b.walk(np, r, ms, ops, [&] {
+    htis::detail::spread_rows(isa, *np.kernels, b.rows, b.nrows, qi,
+                              kMeshChargeScale, dq);
+    const std::int64_t* d = dq;
+    for (int i = 0; i < b.nrows; ++i) {
+      const ewald::MeshRow& row = b.rows[i];
+      for (int k = 0; k < row.n; ++k)
+        sink(row.base + static_cast<std::size_t>(row.wx[k]), d[k]);
+      d += htis::detail::round4(row.n);
+    }
+  });
+}
+
+/// interpolate_atom on one instruction-set clone of the row kernels.
+template <typename PhiQ>
+Vec3l interpolate_atom(tables::simd::Isa isa, const NodeProgram& np,
+                       double qi, const Vec3d& r, MeshScratch& ms,
+                       PhiQ&& phi_q, std::int64_t* ops) {
+  const double h3 = std::pow(np.gse->mesh_spacing(), 3);
+  const double inv_s2 =
+      1.0 / (np.gse_params.sigma_s * np.gse_params.sigma_s);
+  const double pref = qi * h3 * inv_s2;
+  htis::ForceLanes acc;
+  MeshRowBatch b;
+  double phi[MeshRowBatch::kSlots];
+  b.walk(np, r, ms, ops, [&] {
+    double* p = phi;
+    for (int i = 0; i < b.nrows; ++i) {
+      const ewald::MeshRow& row = b.rows[i];
+      for (int k = 0; k < row.n; ++k)
+        p[k] = static_cast<double>(
+                   phi_q(row.base + static_cast<std::size_t>(row.wx[k]))) /
+               kPhiScale;
+      for (int k = row.n; k < htis::detail::round4(row.n); ++k) p[k] = 0.0;
+      p += htis::detail::round4(row.n);
+    }
+    htis::detail::interp_rows(isa, *np.kernels, b.rows, b.nrows, phi, pref,
+                              fixed::kForceScale, acc);
+  });
+  return acc.fold();
+}
+
+}  // namespace detail
 
 /// Spreads one atom's Gaussian charge onto nearby mesh points.
 /// `sink(mesh_index, dq)` receives each quantized contribution; the caller
 /// wrap-adds it into whatever storage it owns (lane shard or node slab).
-/// The mesh points are gathered in for_each_mesh_point order and the
-/// Gaussian runs as one batched table sweep; each emitted dq is bitwise
-/// what the per-point scalar path produced. `ops`, if non-null, is
-/// incremented once per (atom, mesh point) interaction.
+/// Row-fused: each (y, z) row of the mesh window runs the Gaussian table
+/// and the charge quantize in vector lanes (htis::detail::spread_rows on
+/// the host's best instruction-set clone), and the contributions reach
+/// the sink in for_each_mesh_point order, each bitwise what the
+/// per-point scalar path produces. `ops`, if non-null, is incremented
+/// once per (atom, mesh point) interaction.
 template <typename Sink>
 void spread_atom(const NodeProgram& np, double qi, const Vec3d& r,
                  MeshScratch& ms, Sink&& sink, std::int64_t* ops = nullptr) {
-  np.gse->gather_mesh_points(r, ms.pts);
-  const std::size_t n = ms.pts.size();
-  ms.g.resize(n);
-  np.kernels->eval_spread_n(n, ms.pts.r2.data(), ms.g.data());
-  if (ops) *ops += static_cast<std::int64_t>(n);
-  for (std::size_t i = 0; i < n; ++i)
-    sink(ms.pts.idx[i], fixed::quantize(qi * ms.g[i], kMeshChargeScale));
+  detail::spread_atom(tables::simd::active_isa(), np, qi, r, ms, sink, ops);
 }
 
 /// Interpolates the mesh force on one atom. `phi_q(mesh_index)` returns
 /// the quantized potential at a mesh point (the caller resolves it from
 /// its global array or from its halo mailbox); the whole contribution is
 /// accumulated locally and returned as one Vec3l. `ops`, if non-null, is
-/// incremented once per (atom, mesh point) interaction. Batched like
-/// spread_atom; bitwise identical to the per-point path (the wrap-adds
-/// commute, and the gather preserves the visit order anyway).
+/// incremented once per (atom, mesh point) interaction. Row-fused like
+/// spread_atom, with four wrap-add lanes per force component folded at
+/// the end: bitwise identical to the per-point path, because the
+/// quantized contributions are the same and wrap-adds commute.
 template <typename PhiQ>
 Vec3l interpolate_atom(const NodeProgram& np, double qi, const Vec3d& r,
                        MeshScratch& ms, PhiQ&& phi_q,
                        std::int64_t* ops = nullptr) {
-  const double h3 = std::pow(np.gse->mesh_spacing(), 3);
-  const double inv_s2 =
-      1.0 / (np.gse_params.sigma_s * np.gse_params.sigma_s);
-  const double pref = qi * h3 * inv_s2;
-  np.gse->gather_mesh_points(r, ms.pts);
-  const std::size_t n = ms.pts.size();
-  ms.g.resize(n);
-  np.kernels->eval_interp_n(n, ms.pts.r2.data(), ms.g.data());
-  if (ops) *ops += static_cast<std::int64_t>(n);
-  Vec3l acc{0, 0, 0};
-  for (std::size_t i = 0; i < n; ++i) {
-    const double phi =
-        static_cast<double>(phi_q(ms.pts.idx[i])) / kPhiScale;
-    const double c = pref * phi * ms.g[i];
-    acc.x = fixed::wrap_add(
-        acc.x, fixed::quantize(c * ms.pts.dx[i], fixed::kForceScale));
-    acc.y = fixed::wrap_add(
-        acc.y, fixed::quantize(c * ms.pts.dy[i], fixed::kForceScale));
-    acc.z = fixed::wrap_add(
-        acc.z, fixed::quantize(c * ms.pts.dz[i], fixed::kForceScale));
-  }
-  return acc;
+  return detail::interpolate_atom(tables::simd::active_isa(), np, qi, r, ms,
+                                  phi_q, ops);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <type_traits>
 
 #include "fixed/fixed.hpp"
+#include "tables/lanes.hpp"
 #include "tables/remez.hpp"
 
 namespace anton::tables {
@@ -95,6 +95,17 @@ TieredTable TieredTable::build(std::function<double(double)> f,
                                double u_min) {
   if (mantissa_bits < 8 || mantissa_bits > 30)
     throw std::invalid_argument("TieredTable: mantissa bits out of range");
+  // find_segment and the lane search both rely on tiers that start at 0
+  // and ascend below 1, each with at least one segment.
+  for (std::size_t i = 0; i < layout.tiers.size(); ++i) {
+    const Tier& t = layout.tiers[i];
+    const double hi =
+        i + 1 < layout.tiers.size() ? layout.tiers[i + 1].lo : 1.0;
+    if (t.entries < 1 || !(t.lo < hi) || (i == 0 && t.lo != 0.0))
+      throw std::invalid_argument("TieredTable: malformed tier layout");
+  }
+  if (layout.tiers.empty())
+    throw std::invalid_argument("TieredTable: empty tier layout");
   TieredTable tbl;
   tbl.layout_ = layout;
   tbl.u_min_ = u_min;
@@ -152,27 +163,30 @@ double TieredTable::eval(double u) const {
 }
 
 void TieredTable::build_batch_lanes(int mantissa_bits) {
-  tier_lo_.clear();
-  tier_w_.clear();
-  tier_inv_w_.clear();
-  tier_base_.clear();
-  tier_entries_.clear();
-  seg_scale_.clear();
-
-  std::int32_t base = 0;
-  for (std::size_t i = 0; i < layout_.tiers.size(); ++i) {
+  Lanes& l = lanes_;
+  l = Lanes{};
+  l.u_lo = u_min_ > 0.0 ? u_min_ : 0.0;
+  l.u_floor = l.u_lo < 1.0 ? l.u_lo : std::nextafter(1.0, 0.0);
+  const int ntiers = static_cast<int>(layout_.tiers.size());
+  l.tier_consts.resize(Lanes::kMaxTiers * Lanes::kKinds);
+  std::vector<double> tier_w;
+  double base = 0.0;
+  for (int i = 0; i < ntiers; ++i) {
     const double lo = layout_.tiers[i].lo;
-    const double hi =
-        (i + 1 < layout_.tiers.size()) ? layout_.tiers[i + 1].lo : 1.0;
-    tier_lo_.push_back(lo);
-    tier_w_.push_back((hi - lo) / layout_.tiers[i].entries);
-    tier_inv_w_.push_back(1.0 / tier_w_.back());
-    tier_base_.push_back(base);
-    tier_entries_.push_back(layout_.tiers[i].entries);
+    const double hi = (i + 1 < ntiers) ? layout_.tiers[i + 1].lo : 1.0;
+    const double w = (hi - lo) / layout_.tiers[i].entries;
+    const double consts[Lanes::kKinds] = {lo, w, 1.0 / w, base,
+                                          layout_.tiers[i].entries - 1.0};
+    for (int kind = 0; kind < Lanes::kKinds; ++kind)
+      for (int j = i; j < Lanes::kMaxTiers; ++j)  // pads past the last tier
+        l.tier_consts[Lanes::kMaxTiers * kind + j] = consts[kind];
+    l.tier_lo.push_back(lo);
+    tier_w.push_back(w);
     base += layout_.tiers[i].entries;
   }
+  l.last_seg = base - 1.0;
 
-  // The batched path replaces eval_fixed's ldexp with a multiply by a
+  // The lane pipeline replaces eval_fixed's ldexp with a multiply by a
   // precomputed 2^exponent, and carries the integer Horner in doubles.
   // Both are exact only under provable bounds:
   //  * |c_i| <= 2^(mb-1), so every Horner intermediate |acc| < 2^(mb+1)
@@ -182,22 +196,26 @@ void TieredTable::build_batch_lanes(int mantissa_bits) {
   //  * acc * 2^e == ldexp(acc, e) bitwise iff the result is normal; with
   //    |e| <= 960 and |acc| < 2^27 both the scale and the product are far
   //    from the subnormal/overflow ranges.
-  fast_batch_ = mantissa_bits <= 26;
+  l.fast = mantissa_bits <= 26 && ntiers <= Lanes::kMaxTiers;
   // The segment search divides by each tier width w. When every w is a
   // power of two whose reciprocal is a normal double, x / w and
   // x * (1/w) are the correctly rounded values of the same real number
-  // x * 2^-e, so they are bitwise equal for every x and the batch
-  // multiplies instead. Any other width keeps the division.
-  multiply_search_ = true;
-  for (const double w : tier_w_) {
+  // x * 2^-e, so they are bitwise equal for every x and the lanes
+  // multiply instead. Any other width keeps the division.
+  l.multiply = true;
+  for (const double w : tier_w) {
     int e = 0;
     if (std::frexp(w, &e) != 0.5 || e < -1000 || e > 1000)
-      multiply_search_ = false;
+      l.multiply = false;
   }
-  seg_scale_.reserve(segs_.size());
+  l.coef.reserve(4 * segs_.size());
+  l.scale.reserve(segs_.size());
   for (const Segment& s : segs_) {
-    if (s.exponent < -960 || s.exponent > 960) fast_batch_ = false;
-    seg_scale_.push_back(std::ldexp(1.0, s.exponent));
+    if (s.exponent < -960 || s.exponent > 960) l.fast = false;
+    constexpr double kMagic = 6755399441055744.0;  // 2^52 + 2^51
+    l.coef.push_back(s.c[3]);
+    for (int i = 2; i >= 0; --i) l.coef.push_back(s.c[i] - kMagic);
+    l.scale.push_back(std::ldexp(1.0, s.exponent));
   }
 }
 
@@ -215,79 +233,77 @@ double TieredTable::eval_fixed(double u) const {
   return std::ldexp(static_cast<double>(acc), s.exponent);
 }
 
-void TieredTable::eval_fixed_n(const double* u, double* out,
-                               std::size_t n) const {
-  if (!fast_batch_) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = eval_fixed(u[i]);
-    return;
-  }
-  // Why carrying the "integer" PPIP pipeline in double lanes is exact:
-  //  * tf = llrint(t * 2^24) with t in [0,1) is an integer < 2^24; the
-  //    magic-number round (fixed::rne_round) equals llrint on |x| < 2^51.
-  //  * Each Horner stage computes rshift_rne(acc * tf, 24) + c. In doubles
-  //    that is rne_round((acc * tf) * 2^-24) + c: the product is an
-  //    integer < 2^51 (exact), the power-of-two scale only changes the
-  //    exponent (exact), and rne_round reproduces the shift's
-  //    round-to-nearest/even on the now-fractional value. Floor-shift +
-  //    half/even fixup over 24 bits and RNE on x/2^24 are the same
-  //    function, so every stage matches rshift_rne bit for bit.
-  //  * The final acc * seg_scale_ equals ldexp(acc, exponent) because the
-  //    result is normal (exponent range checked at build).
-  constexpr std::size_t kChunk = 64;
-  constexpr double kInv24 = 1.0 / 16777216.0;
-  const double one_below = std::nextafter(1.0, 0.0);
-  const int ntiers = static_cast<int>(tier_lo_.size());
-  double tf[kChunk];
-  std::int32_t seg[kChunk];
+// Why carrying the "integer" PPIP pipeline in double lanes is exact:
+//  * tf = llrint(t * 2^24) with t in [0,1) is an integer < 2^24; the
+//    magic-number round (fixed::rne_round) equals llrint on |x| < 2^51.
+//  * Each Horner stage computes rshift_rne(acc * tf, 24) + c. In doubles
+//    that is rne_round((acc * tf) * 2^-24) + c: the product is an
+//    integer < 2^51 (exact), the power-of-two scale only changes the
+//    exponent (exact), and rne_round reproduces the shift's
+//    round-to-nearest/even on the now-fractional value. Floor-shift +
+//    half/even fixup over 24 bits and RNE on x/2^24 are the same
+//    function, so every stage matches rshift_rne bit for bit.
+//  * The final acc * scale equals ldexp(acc, exponent) because the
+//    result is normal (exponent range checked at build).
+//  * The segment search mirrors find_segment operation for operation
+//    (lanes::TablePipe); the truncating conversion of k only ever sees
+//    values in [0, entries], where it is static_cast<int>.
+namespace {
 
-  // Segment search as flat arithmetic: the tiers partition [0,1) in
-  // ascending order, so the tier index is the count of tier lower bounds
-  // <= u; the in-tier math then mirrors find_segment exactly. The two
-  // divisions by w become multiplies by 1/w only where that is bitwise
-  // the same (multiply_search_, see build_batch_lanes).
-  const auto search = [&](std::size_t i0, std::size_t m, auto multiply) {
-    for (std::size_t i = 0; i < m; ++i) {
-      double uu = std::max(u[i0 + i], u_min_);
-      if (uu < 0.0) uu = 0.0;
-      if (uu >= 1.0) uu = one_below;
-      int ti = 0;
-      for (int j = 1; j < ntiers; ++j) ti += uu >= tier_lo_[j] ? 1 : 0;
-      const double lo = tier_lo_[ti];
-      const double w = tier_w_[ti];
-      const auto over_w = [&](double x) {
-        if constexpr (decltype(multiply)::value)
-          return x * tier_inv_w_[ti];
-        else
-          return x / w;
-      };
-      int k = static_cast<int>(over_w(uu - lo));
-      if (k >= tier_entries_[ti]) k = tier_entries_[ti] - 1;
-      double t = over_w(uu - (lo + k * w));
-      if (t < 0.0) t = 0.0;
-      if (t >= 1.0) t = one_below;
-      seg[i] = tier_base_[ti] + k;
-      double f = fixed::rne_round(t * 16777216.0);
-      if (f > 16777215.0) f = 16777215.0;
-      tf[i] = f;
-    }
-  };
-
+template <class V>
+ANTON_LANES_INLINE void eval_fixed_n_body(const TieredTable& t,
+                                          const double* u, double* out,
+                                          std::size_t n) {
+  using Pipe = lanes::TablePipe<V>;
+  constexpr std::size_t N = Pipe::N;
+  constexpr std::size_t kChunk = 64;  // inputs searched before the Horner
+  const Pipe pipe(t);
+  typename Pipe::Searched sr[kChunk / N];
   for (std::size_t i0 = 0; i0 < n; i0 += kChunk) {
     const std::size_t m = std::min(kChunk, n - i0);
-    if (multiply_search_)
-      search(i0, m, std::true_type{});
-    else
-      search(i0, m, std::false_type{});
-    // RNE Horner + block-exponent scale, gathered per segment.
-    for (std::size_t i = 0; i < m; ++i) {
-      const Segment& s = segs_[seg[i]];
-      double acc = s.c[3];
-      acc = fixed::rne_round(acc * tf[i] * kInv24) + s.c[2];
-      acc = fixed::rne_round(acc * tf[i] * kInv24) + s.c[1];
-      acc = fixed::rne_round(acc * tf[i] * kInv24) + s.c[0];
-      out[i0 + i] = acc * seg_scale_[seg[i]];
+    const std::size_t full = m / N, nv = (m + N - 1) / N;
+    for (std::size_t v = 0; v < full; ++v)
+      pipe.search(lanes::load<V>(u + i0 + N * v), sr[v]);
+    if (nv > full) {  // the input's last, partial vector
+      V uv = lanes::splat<V>(0.0);
+      for (std::size_t j = 0; N * full + j < m; ++j)
+        uv[j] = u[i0 + N * full + j];
+      pipe.search(uv, sr[full]);
+    }
+    for (std::size_t v = 0; v < full; ++v)
+      lanes::store(out + i0 + N * v, pipe.horner(sr[v]));
+    if (nv > full) {
+      const V g = pipe.horner(sr[full]);
+      for (std::size_t j = 0; N * full + j < m; ++j)
+        out[i0 + N * full + j] = g[j];
     }
   }
+}
+
+void eval_fixed_n_x86_64(const TieredTable& t, const double* u, double* out,
+                         std::size_t n) {
+  eval_fixed_n_body<lanes::v2d>(t, u, out, n);
+}
+
+ANTON_TARGET_AVX2 void eval_fixed_n_avx2(const TieredTable& t,
+                                         const double* u, double* out,
+                                         std::size_t n) {
+  eval_fixed_n_body<lanes::v4d>(t, u, out, n);
+}
+
+}  // namespace
+
+void detail::eval_fixed_n(simd::Isa isa, const TieredTable& t,
+                          const double* u, double* out, std::size_t n) {
+  if (isa == simd::Isa::kAvx2)
+    eval_fixed_n_avx2(t, u, out, n);
+  else
+    eval_fixed_n_x86_64(t, u, out, n);
+}
+
+void TieredTable::eval_fixed_n(const double* u, double* out,
+                               std::size_t n) const {
+  detail::eval_fixed_n(simd::active_isa(), *this, u, out, n);
 }
 
 }  // namespace anton::tables

@@ -18,9 +18,12 @@
 //                    deterministic and decomposition-independent.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
+
+#include "tables/simd.hpp"
 
 namespace anton::tables {
 
@@ -77,18 +80,53 @@ class TieredTable {
   double eval_fixed(double u) const;
 
   /// Batched eval_fixed over n inputs: out[i] == eval_fixed(u[i]) bitwise,
-  /// for every input. The hot path runs the whole PPIP pipeline (segment
-  /// search, 24-bit fraction, RNE Horner, block-exponent scale) in flat
-  /// branch-free lanes the compiler can vectorize; the integer Horner is
-  /// carried in doubles, which is exact because every intermediate is an
-  /// integer below 2^52 (see the proof at the implementation). Tables
-  /// whose parameters fall outside that proof fall back to scalar calls.
+  /// for every input (NaN, infinities, signed zeros and subnormals
+  /// included). Runs the whole PPIP pipeline (segment search, 24-bit
+  /// fraction, RNE Horner, block-exponent scale) four lanes at a time on
+  /// the host's best instruction-set clone (tables/simd.hpp); the integer
+  /// Horner is carried in doubles, which is exact because every
+  /// intermediate is an integer below 2^51 (see the proof at the
+  /// implementation). Tables whose parameters fall outside that proof
+  /// evaluate each lane through eval_fixed.
   void eval_fixed_n(const double* u, double* out, std::size_t n) const;
 
   /// True when eval_fixed_n's segment search multiplies by the
   /// reciprocal tier width instead of dividing: only when every tier
   /// width is a power of two, where the two are bitwise equal.
-  bool multiply_search() const { return multiply_search_; }
+  bool multiply_search() const { return lanes_.multiply; }
+
+  /// The constants eval_fixed_n's lane pipeline (tables/lanes.hpp)
+  /// reads, flattened at build.
+  struct Lanes {
+    /// The lanes run tables of at most kMaxTiers tiers: each kind of
+    /// per-tier constant is one vector of four entries, indexed by tier
+    /// (padded with the last tier's value).
+    static constexpr int kMaxTiers = 4;
+    enum Kind { kLo, kW, kInvW, kBase, kLast, kKinds };
+    const double* tier(Kind kind) const {
+      return tier_consts.data() + kMaxTiers * kind;
+    }
+    std::vector<double> tier_consts;  // kMaxTiers * kKinds
+    std::vector<double> tier_lo;      // per tier
+    /// Per segment one 32-byte row: c3, c2 - M, c1 - M, c0 - M with
+    /// M = 2^52 + 2^51 (exact: |c| < 2^26), so four lanes load their
+    /// rows and transpose them, and each Horner stage's rounding and
+    /// coefficient add are two adds.
+    std::vector<double> coef;
+    std::vector<double> scale;  // per segment: 2^exponent
+    double last_seg = 0.0;      // index of the last segment
+    /// std::max(u, u_min) followed by find_segment's clamps equals
+    /// u >= 1 ? nextafter(1, 0) : u >= u_lo ? u : u_floor, with
+    /// u_lo = max(u_min, 0) and u_floor = u_lo clamped below 1, up to
+    /// the sign of a zero, which the search maps to the same segment
+    /// and the same t.
+    double u_lo = 0.0, u_floor = 0.0;
+    /// The lane pipeline is exact for this table and the layout has at
+    /// most kMaxTiers tiers; when false every lane runs eval_fixed.
+    bool fast = false;
+    bool multiply = false;  // see multiply_search()
+  };
+  const Lanes& lanes() const { return lanes_; }
 
   /// Largest |f - table| observed during the fit scan.
   double max_fit_error() const { return worst_fit_error_; }
@@ -104,13 +142,16 @@ class TieredTable {
   double u_min_ = 0.0;
   double worst_fit_error_ = 0.0;
 
-  // Flattened lanes for eval_fixed_n: per-tier constants of the segment
-  // search and the per-segment scale 2^exponent, precomputed at build.
-  std::vector<double> tier_lo_, tier_w_, tier_inv_w_;
-  std::vector<std::int32_t> tier_base_, tier_entries_;
-  std::vector<double> seg_scale_;
-  bool fast_batch_ = false;
-  bool multiply_search_ = false;
+  Lanes lanes_;
 };
+
+namespace detail {
+
+/// eval_fixed_n compiled for one instruction set, bypassing the
+/// dispatcher. `isa` must be one the host supports.
+void eval_fixed_n(simd::Isa isa, const TieredTable& t, const double* u,
+                  double* out, std::size_t n);
+
+}  // namespace detail
 
 }  // namespace anton::tables

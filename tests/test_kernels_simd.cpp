@@ -8,7 +8,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "ewald/erfc_table.hpp"
@@ -19,6 +22,8 @@
 #include "pairlist/exclusion_table.hpp"
 #include "parallel/node_program.hpp"
 #include "sysgen/systems.hpp"
+#include "tables/simd.hpp"
+#include "tables/tiered_table.hpp"
 #include "util/rng.hpp"
 
 using anton::System;
@@ -233,21 +238,25 @@ TEST(KernelsSimd, InterpolateBatchMatchesScalar) {
           ref.z = fixedp::wrap_add(
               ref.z, fixedp::quantize(cf * d.z, fixedp::kForceScale));
         });
-    std::int64_t ops = 0;
+    std::int64_t ops = 0, ref_ops = 0;
+    c.gse->for_each_mesh_point(c.sys.positions[i],
+                               [&](std::size_t, const Vec3d&, double) {
+                                 ++ref_ops;
+                               });
     const Vec3l got = par::interpolate_atom(
         c.np, c.sys.top.charge[i], c.sys.positions[i], ms,
         [&](std::size_t idx) { return phi_q[idx]; }, &ops);
     EXPECT_EQ(got.x, ref.x) << "atom " << i;
     EXPECT_EQ(got.y, ref.y) << "atom " << i;
     EXPECT_EQ(got.z, ref.z) << "atom " << i;
-    EXPECT_EQ(ops, static_cast<std::int64_t>(ms.pts.size()));
+    EXPECT_EQ(ops, ref_ops);
   }
 }
 
 namespace {
 
 /// The per-point visit for_each_mesh_point makes: the reference the
-/// per-axis gather must reproduce.
+/// row enumerator must reproduce.
 struct MeshVisit {
   std::size_t idx;
   std::uint64_t dx, dy, dz, r2;  // bit patterns
@@ -256,27 +265,27 @@ struct MeshVisit {
 
 std::uint64_t dbits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-/// Largest allocation among a batch's lanes, in entries.
-std::size_t allocated(const anton::ewald::MeshPointBatch& b) {
-  return std::max({b.idx.capacity(), b.dx.capacity(), b.dy.capacity(),
-                   b.dz.capacity(), b.r2.capacity()});
-}
-
-/// Gathers `r` into `batch` and checks it point for point against the
+/// Expands the rows of `r` point by point and checks them against the
 /// for_each_mesh_point oracle: count, order, indices and bit-identical
-/// displacements and r^2. Returns the hit count.
-std::size_t expect_gather_matches_oracle(const anton::ewald::Gse& gse,
-                                         const Vec3d& r,
-                                         anton::ewald::MeshPointBatch& batch) {
+/// displacements and r^2 (in the kernels' (dx*dx + dy*dy) + dz*dz
+/// association). Returns the hit count.
+std::size_t expect_rows_match_oracle(const anton::ewald::Gse& gse,
+                                     const Vec3d& r,
+                                     anton::ewald::MeshWindow& win) {
   std::vector<MeshVisit> ref;
   gse.for_each_mesh_point(r, [&](std::size_t idx, const Vec3d& d, double r2) {
     ref.push_back({idx, dbits(d.x), dbits(d.y), dbits(d.z), dbits(r2)});
   });
-  gse.gather_mesh_points(r, batch);
   std::vector<MeshVisit> got;
-  for (std::size_t i = 0; i < batch.size(); ++i)
-    got.push_back({batch.idx[i], dbits(batch.dx[i]), dbits(batch.dy[i]),
-                   dbits(batch.dz[i]), dbits(batch.r2[i])});
+  gse.for_each_mesh_row(r, win, [&](const anton::ewald::MeshRow& row) {
+    EXPECT_GT(row.n, 0);
+    for (int k = 0; k < row.n; ++k) {
+      const double dx = row.dx[k];
+      const double r2 = (dx * dx + row.dy * row.dy) + row.dz * row.dz;
+      got.push_back({row.base + static_cast<std::size_t>(row.wx[k]),
+                     dbits(dx), dbits(row.dy), dbits(row.dz), dbits(r2)});
+    }
+  });
   EXPECT_EQ(got.size(), ref.size())
       << "r=(" << r.x << "," << r.y << "," << r.z << ")";
   EXPECT_TRUE(got == ref) << "r=(" << r.x << "," << r.y << "," << r.z << ")";
@@ -285,12 +294,13 @@ std::size_t expect_gather_matches_oracle(const anton::ewald::Gse& gse,
 
 }  // namespace
 
-// Property: the per-axis gather (row skip + per-row hit interval) is the
+// Property: the row enumerator (row skip + per-row hit interval) is the
 // oracle's visit exactly, for atoms anywhere -- including on mesh points,
 // on box faces, far outside the primary cell, and with a spreading
 // radius wider than half the box so wrapped indices repeat in a window --
-// and its lanes are sized by hits, never by the window volume.
-TEST(KernelsSimd, GatherMeshPointsMatchesOracle) {
+// and its per-axis scratch is sized by the window edge, never by the
+// window volume.
+TEST(KernelsSimd, MeshRowsMatchOracle) {
   struct Case {
     const char* name;
     double side;
@@ -341,23 +351,257 @@ TEST(KernelsSimd, GatherMeshPointsMatchesOracle) {
     rs.push_back({-2.5 * L, 1.7 * L, -L});
     rs.push_back({-1e-12, -h, -3.5 * h});
 
-    // A reused batch keeps its largest allocation: at most the most hits
-    // plus the longest row seen so far.
-    anton::ewald::MeshPointBatch reused;
-    std::size_t max_hits = 0, max_row = 0;
+    // One window reused across atoms, as the kernels do.
+    const std::size_t edge =
+        static_cast<std::size_t>(std::ceil(2.0 * c.p.rs / h)) + 2;
+    anton::ewald::MeshWindow reused;
     for (const Vec3d& r : rs) {
-      anton::ewald::MeshPointBatch fresh;
-      const std::size_t hits = expect_gather_matches_oracle(gse, r, fresh);
-      const std::size_t row = fresh.axis_d[0].size();
-      EXPECT_GT(hits, 0u);
-      EXPECT_LE(allocated(fresh), hits + row);
-      expect_gather_matches_oracle(gse, r, reused);
-      max_hits = std::max(max_hits, hits);
-      max_row = std::max(max_row, row);
-      EXPECT_LE(allocated(reused), max_hits + max_row);
+      anton::ewald::MeshWindow fresh;
+      EXPECT_GT(expect_rows_match_oracle(gse, r, fresh), 0u);
+      expect_rows_match_oracle(gse, r, reused);
+      for (int a = 0; a < 3; ++a) {
+        EXPECT_LE(fresh.w[a].size(), edge);
+        EXPECT_EQ(fresh.d[a].size(),
+                  fresh.w[a].size() +
+                      (a == 0 ? anton::ewald::MeshWindow::kPad : 0));
+      }
     }
   }
 }
+
+// ---------------------------------------------------------------------------
+// Each instruction-set clone of the lane kernels, called through its
+// detail:: entry point (not the dispatcher), against the scalar oracles.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+using anton::tables::simd::Isa;
+
+class KernelsSimdIsa : public ::testing::TestWithParam<Isa> {
+ protected:
+  void SetUp() override {
+    if (!anton::tables::simd::host_supports(GetParam()))
+      GTEST_SKIP() << "this host cannot run the "
+                   << anton::tables::simd::isa_name(GetParam())
+                   << " clone; it is tested on hosts that can";
+  }
+};
+
+/// Inputs for a table: segment edges of every tier, clamps, non-finite,
+/// signed-zero and subnormal values, and random points.
+std::vector<double> table_inputs(const anton::tables::TieredTable& t) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double sub = std::numeric_limits<double>::denorm_min();
+  std::vector<double> u = {-0.5, 0.0, -0.0, std::nextafter(1.0, 0.0), 1.0,
+                           1.5,  nan, -nan, inf, -inf, sub, -sub, 1e-310};
+  for (int k = 0; k < t.layout().total_entries(); ++k) {
+    double lo, hi;
+    t.layout().segment_bounds(k, lo, hi);
+    u.insert(u.end(), {lo, std::nextafter(lo, 0.0), std::nextafter(lo, 2.0),
+                       0.5 * (lo + hi)});
+  }
+  anton::Xoshiro256 rng(31);
+  for (int i = 0; i < 3001; ++i) u.push_back(rng.uniform(0.0, 1.0));
+  return u;
+}
+
+anton::htis::PairKernels make_kernels(double cutoff, int mantissa_bits) {
+  const auto p = anton::ewald::GseParams::for_cutoff(cutoff, 16);
+  anton::htis::PairKernelParams tp;
+  tp.cutoff = cutoff;
+  tp.beta = p.beta;
+  tp.sigma_s = p.sigma_s;
+  tp.rs = p.rs;
+  tp.mantissa_bits = mantissa_bits;
+  return anton::htis::PairKernels(tp, {{3.2, 0.15}, {2.5, 0.05}});
+}
+
+/// Row lengths of every row the atoms' windows hold, mod 4.
+std::vector<bool> row_tails(const Ctx& c) {
+  std::vector<bool> seen(4, false);
+  anton::ewald::MeshWindow win;
+  for (const Vec3d& r : c.sys.positions)
+    c.gse->for_each_mesh_row(r, win, [&](const anton::ewald::MeshRow& row) {
+      seen[static_cast<std::size_t>(row.n % 4)] = true;
+    });
+  return seen;
+}
+
+}  // namespace
+
+// Every table of two PairKernels -- the power-of-two default layout
+// (multiply search) and the vdW layout (division search) -- plus a
+// uniform(100) table, at all inputs, bitwise against eval_fixed.
+TEST_P(KernelsSimdIsa, TablesMatchScalarBitwise) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const anton::htis::PairKernels k1 = make_kernels(9.0, 22);
+  const anton::htis::PairKernels k2 = make_kernels(12.0, 24);
+  const auto u100 = anton::tables::TieredTable::build(
+      [](double u) { return std::exp(-4.0 * u) + 0.5; },
+      anton::tables::TieredLayout::uniform(100), 22, 0.001);
+  ASSERT_FALSE(u100.multiply_search());
+  std::vector<std::pair<std::string, const anton::tables::TieredTable*>> all;
+  for (const auto& [name, t] : k1.tables()) all.emplace_back(name, t);
+  for (const auto& [name, t] : k2.tables())
+    all.emplace_back(std::string(name) + "/k2", t);
+  all.emplace_back("uniform100", &u100);
+  for (const auto& [name, t] : all) {
+    const std::vector<double> u = table_inputs(*t);
+    std::vector<double> got(u.size());
+    anton::tables::detail::eval_fixed_n(GetParam(), *t, u.data(), got.data(),
+                                        u.size());
+    for (std::size_t i = 0; i < u.size(); ++i)
+      ASSERT_EQ(bits(got[i]), bits(t->eval_fixed(u[i])))
+          << name << " u=" << u[i] << " i=" << i;
+  }
+}
+
+// Spreading through the clone's row kernel equals the per-point oracle
+// (for_each_mesh_point + eval_spread + quantize), in visit order, with
+// rows of every length mod 4 so every vector tail is exercised.
+TEST_P(KernelsSimdIsa, SpreadMatchesOracle) {
+  Ctx c(anton::sysgen::build_test_system(30, 10.0, 9, true, 6), 4.0, 16);
+  const std::vector<bool> tails = row_tails(c);
+  EXPECT_TRUE(tails[1] && tails[2] && tails[3]);
+  par::MeshScratch ms;
+  for (std::size_t i = 0; i < c.sys.positions.size(); ++i) {
+    const double qi = c.sys.top.charge[i];
+    std::vector<std::pair<std::size_t, std::int64_t>> ref, got;
+    c.gse->for_each_mesh_point(
+        c.sys.positions[i], [&](std::size_t idx, const Vec3d&, double r2) {
+          ref.emplace_back(idx,
+                           fixedp::quantize(qi * c.kernels.eval_spread(r2),
+                                            par::kMeshChargeScale));
+        });
+    std::int64_t ops = 0;
+    par::detail::spread_atom(
+        GetParam(), c.np, qi, c.sys.positions[i], ms,
+        [&](std::size_t idx, std::int64_t dq) { got.emplace_back(idx, dq); },
+        &ops);
+    ASSERT_EQ(got, ref) << "atom " << i;
+    EXPECT_EQ(ops, static_cast<std::int64_t>(ref.size()));
+  }
+}
+
+namespace {
+
+/// The per-point interpolation oracle: for_each_mesh_point +
+/// eval_interp + fixed::quantize, wrap-added in visit order. `ops` counts
+/// the points and `wide` those with a force product at or above 2^51.
+Vec3l interp_oracle(const Ctx& c, double qi, const Vec3d& r,
+                    const std::vector<std::int64_t>& phi_q,
+                    std::int64_t& ops, int& wide) {
+  const double h3 = std::pow(c.gse->mesh_spacing(), 3);
+  const double inv_s2 = 1.0 / (c.gse_params.sigma_s * c.gse_params.sigma_s);
+  const double pref = qi * h3 * inv_s2;
+  Vec3l ref{0, 0, 0};
+  c.gse->for_each_mesh_point(
+      r, [&](std::size_t idx, const Vec3d& d, double r2) {
+        const double phi = static_cast<double>(phi_q[idx]) / par::kPhiScale;
+        const double cf = pref * phi * c.kernels.eval_interp(r2);
+        for (const double di : {d.x, d.y, d.z})
+          wide += std::fabs(cf * di * fixedp::kForceScale) >=
+                  2251799813685248.0;
+        ref.x = fixedp::wrap_add(
+            ref.x, fixedp::quantize(cf * d.x, fixedp::kForceScale));
+        ref.y = fixedp::wrap_add(
+            ref.y, fixedp::quantize(cf * d.y, fixedp::kForceScale));
+        ref.z = fixedp::wrap_add(
+            ref.z, fixedp::quantize(cf * d.z, fixedp::kForceScale));
+        ++ops;
+      });
+  return ref;
+}
+
+}  // namespace
+
+// Interpolation through the clone's row kernel (four wrap-add lanes per
+// component) equals the per-point oracle's sequential sum.
+TEST_P(KernelsSimdIsa, InterpolateMatchesOracle) {
+  Ctx c(anton::sysgen::build_test_system(30, 10.0, 10, true, 6), 4.0, 16);
+  const std::vector<bool> tails = row_tails(c);
+  EXPECT_TRUE(tails[1] && tails[2] && tails[3]);
+  std::vector<std::int64_t> phi_q(c.gse->mesh_total());
+  anton::Xoshiro256 rng(24);
+  for (auto& v : phi_q) v = static_cast<std::int64_t>(rng()) >> 24;
+  par::MeshScratch ms;
+  for (std::size_t i = 0; i < c.sys.positions.size(); ++i) {
+    std::int64_t ref_ops = 0, ops = 0;
+    int wide = 0;
+    const Vec3l ref = interp_oracle(c, c.sys.top.charge[i],
+                                    c.sys.positions[i], phi_q, ref_ops, wide);
+    const Vec3l got = par::detail::interpolate_atom(
+        GetParam(), c.np, c.sys.top.charge[i], c.sys.positions[i], ms,
+        [&](std::size_t idx) { return phi_q[idx]; }, &ops);
+    EXPECT_EQ(got.x, ref.x) << "atom " << i;
+    EXPECT_EQ(got.y, ref.y) << "atom " << i;
+    EXPECT_EQ(got.z, ref.z) << "atom " << i;
+    EXPECT_EQ(ops, ref_ops);
+  }
+}
+
+// A potential large enough on some mesh points that their force
+// products reach 2^51: the batches holding them rerun with the exact
+// per-lane quantize (llrint on those lanes), and the sum still matches.
+TEST_P(KernelsSimdIsa, InterpolateQuantizeFallsBackAboveTwo51) {
+  Ctx c(anton::sysgen::build_test_system(4, 10.0, 12, true, 0), 4.0, 16);
+  std::vector<std::int64_t> phi_q(c.gse->mesh_total());
+  anton::Xoshiro256 rng(25);
+  for (auto& v : phi_q) v = static_cast<std::int64_t>(rng()) >> 24;
+  for (std::size_t m = 0; m < phi_q.size(); m += 7)
+    phi_q[m] = std::int64_t{1} << 62;
+  par::MeshScratch ms;
+  int wide_atoms = 0;
+  for (std::size_t i = 0; i < c.sys.positions.size(); ++i) {
+    const double qi = c.sys.top.charge[i] != 0.0 ? c.sys.top.charge[i] : 1.0;
+    std::int64_t ref_ops = 0;
+    int wide = 0;
+    const Vec3l ref =
+        interp_oracle(c, qi, c.sys.positions[i], phi_q, ref_ops, wide);
+    wide_atoms += wide > 0;
+    const Vec3l got = par::detail::interpolate_atom(
+        GetParam(), c.np, qi, c.sys.positions[i], ms,
+        [&](std::size_t idx) { return phi_q[idx]; }, nullptr);
+    EXPECT_EQ(got.x, ref.x) << "atom " << i;
+    EXPECT_EQ(got.y, ref.y) << "atom " << i;
+    EXPECT_EQ(got.z, ref.z) << "atom " << i;
+  }
+  EXPECT_GT(wide_atoms, 0);
+}
+
+// A charge large enough that |q g 2^40| >= 2^51 near the atom: those
+// lanes leave the magic-number round for llrint, the rest stay on it,
+// and both match fixed::quantize.
+TEST_P(KernelsSimdIsa, SpreadQuantizeFallsBackAboveTwo51) {
+  Ctx c(anton::sysgen::build_test_system(4, 10.0, 11, true, 0), 4.0, 16);
+  const double qi = 1.0e5;
+  const Vec3d r = c.sys.positions[0];
+  std::vector<std::pair<std::size_t, std::int64_t>> ref, got;
+  int big = 0;
+  c.gse->for_each_mesh_point(r, [&](std::size_t idx, const Vec3d&,
+                                    double r2) {
+    const double y = qi * c.kernels.eval_spread(r2) * par::kMeshChargeScale;
+    big += std::fabs(y) >= 2251799813685248.0 ? 1 : 0;
+    ref.emplace_back(idx, fixedp::quantize(qi * c.kernels.eval_spread(r2),
+                                           par::kMeshChargeScale));
+  });
+  ASSERT_GT(big, 0);
+  ASSERT_LT(static_cast<std::size_t>(big), ref.size());
+  par::MeshScratch ms;
+  par::detail::spread_atom(
+      GetParam(), c.np, qi, r, ms,
+      [&](std::size_t idx, std::int64_t dq) { got.emplace_back(idx, dq); },
+      nullptr);
+  EXPECT_EQ(got, ref);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Isas, KernelsSimdIsa, ::testing::ValuesIn(anton::tables::simd::kAllIsas),
+    [](const ::testing::TestParamInfo<Isa>& info) {
+      return std::string(anton::tables::simd::isa_name(info.param));
+    });
 
 TEST(ErfcTableSpline, TracksLibmTightly) {
   const anton::ewald::ErfcTable t(4.0);

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -227,6 +228,13 @@ TEST(TieredTable, BatchedMatchesScalarBitwise) {
     // Edge inputs: clamps, tier boundaries, the open upper end.
     u.insert(u.end(), {-0.5, 0.0, c.u_min * 0.5, c.u_min,
                        std::nextafter(1.0, 0.0), 1.0, 1.5});
+    // Non-finite, signed-zero and subnormal inputs: NaN takes
+    // find_segment's fall-through (last segment, t = 0).
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double sub = std::numeric_limits<double>::denorm_min();
+    u.insert(u.end(), {0.5, nan, 0.25, 1.5, -nan, inf, -inf, -0.0, sub,
+                       -sub, 1e-310, std::numeric_limits<double>::min()});
     for (const auto& tier : c.layout.tiers) {
       u.push_back(tier.lo);
       u.push_back(std::nextafter(tier.lo, 0.0));
